@@ -62,7 +62,13 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		wantCode                 string
 	}{
 		{"unknown route", http.MethodGet, "/v1/nope", "", 404, "not_found"},
-		{"unknown legacy route", http.MethodGet, "/nope", "", 404, "not_found"},
+		{"unknown unversioned route", http.MethodGet, "/nope", "", 404, "not_found"},
+		// The pre-/v1 unversioned aliases are gone: they are unknown routes.
+		{"unversioned list", http.MethodGet, "/monitors", "", 404, "not_found"},
+		{"unversioned create", http.MethodPost, "/monitors", `{}`, 404, "not_found"},
+		{"unversioned healthz", http.MethodGet, "/healthz", "", 404, "not_found"},
+		{"unversioned metrics", http.MethodGet, "/metrics", "", 404, "not_found"},
+		{"wrong method", http.MethodGet, "/v1/monitors/mon-1/estimate", "", 404, "not_found"},
 		{"bad create JSON", http.MethodPost, "/v1/monitors", "{", 400, "bad_json"},
 		{"unknown monitor", http.MethodPost, "/v1/monitors/mon-404/estimate", `{"readings":[[1]]}`, 404, "not_found"},
 		{"bad floorplan", http.MethodPost, "/v1/monitors", `{"floorplan":"pentium"}`, 400, "bad_floorplan"},
@@ -77,101 +83,9 @@ func TestErrorEnvelopeShape(t *testing.T) {
 	}
 }
 
-// The unversioned spellings stay as one-release aliases that serve
-// identically but are labeled legacy_<route> in /metrics; /healthz and
-// /metrics answer under both spellings.
-func TestLegacyAliasesServeAndAreLabeled(t *testing.T) {
-	ts := httptest.NewServer(newServer(64))
-	defer ts.Close()
-
-	for _, path := range []string{"/healthz", "/v1/healthz"} {
-		var health map[string]string
-		if resp := doJSON(t, ts, http.MethodGet, path, "", &health); resp.StatusCode != 200 || health["status"] != "ok" {
-			t.Fatalf("GET %s: %d %v", path, resp.StatusCode, health)
-		}
-	}
-
-	// Create over the legacy spelling, estimate over /v1: one monitor, both
-	// surfaces.
-	var cr createResponse
-	if resp := doJSON(t, ts, http.MethodPost, "/monitors", fmt.Sprintf(createBody, ""), &cr); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("legacy create: status %d", resp.StatusCode)
-	}
-	readings := `{"readings":[[45,45,45,45,45,45,45,45]]}`
-	if resp := doJSON(t, ts, http.MethodPost, "/v1/monitors/"+cr.ID+"/estimate", readings, nil); resp.StatusCode != 200 {
-		t.Fatalf("/v1 estimate: status %d", resp.StatusCode)
-	}
-	if resp := doJSON(t, ts, http.MethodPost, "/monitors/"+cr.ID+"/estimate", readings, nil); resp.StatusCode != 200 {
-		t.Fatalf("legacy estimate: status %d", resp.StatusCode)
-	}
-	var list map[string]any
-	if resp := doJSON(t, ts, http.MethodGet, "/monitors", "", &list); resp.StatusCode != 200 {
-		t.Fatalf("legacy list: status %d", resp.StatusCode)
-	}
-
-	for _, path := range []string{"/metrics", "/v1/metrics"} {
-		body := metricsBody(t, ts, path)
-		for _, want := range []string{
-			`route="legacy_create"`, `route="legacy_estimate"`, `route="legacy_list"`,
-			`route="estimate"`, `route="healthz"`,
-		} {
-			if !strings.Contains(body, want) {
-				t.Errorf("GET %s: missing %s", path, want)
-			}
-		}
-	}
-}
-
-// The estimate route's arm field selects the reconstruction path; the two
-// arms agree to rounding, and an unknown arm is a 400.
-func TestEstimateArmSelection(t *testing.T) {
-	ts := httptest.NewServer(newServer(64))
-	defer ts.Close()
-	cr := createMonitor(t, ts, "")
-
-	readings := make([][]float64, 3)
-	for i := range readings {
-		readings[i] = make([]float64, cr.M)
-		for j := range readings[i] {
-			readings[i][j] = 44 + float64(i) + 0.25*float64(j)
-		}
-	}
-	estimate := func(arm string) []snapshotSummary {
-		body, _ := json.Marshal(map[string]any{"readings": readings, "include_maps": true, "arm": arm})
-		var out struct {
-			Results []snapshotSummary `json:"results"`
-		}
-		if resp := doJSON(t, ts, http.MethodPost, "/v1/monitors/"+cr.ID+"/estimate", string(body), &out); resp.StatusCode != 200 {
-			t.Fatalf("arm %q: status %d", arm, resp.StatusCode)
-		}
-		if len(out.Results) != len(readings) {
-			t.Fatalf("arm %q: %d results", arm, len(out.Results))
-		}
-		return out.Results
-	}
-	op, qr := estimate("operator"), estimate("qr")
-	def := estimate("")
-	for i := range op {
-		for k := range op[i].Map {
-			if d := math.Abs(op[i].Map[k] - qr[i].Map[k]); d > 1e-12*math.Max(1, math.Abs(qr[i].Map[k])) {
-				t.Fatalf("snapshot %d cell %d: arms disagree by %g", i, k, d)
-			}
-			if def[i].Map[k] != op[i].Map[k] {
-				t.Fatalf("snapshot %d cell %d: default arm is not the operator arm", i, k)
-			}
-		}
-	}
-
-	var env errEnvelope
-	if resp := doJSON(t, ts, http.MethodPost, "/v1/monitors/"+cr.ID+"/estimate",
-		`{"readings":[[45,45,45,45,45,45,45,45]],"arm":"cholesky"}`, &env); resp.StatusCode != 400 || env.Error.Code != "bad_arm" {
-		t.Fatalf("unknown arm: status %d %+v", resp.StatusCode, env)
-	}
-}
-
-// With -coalesce-window enabled, concurrent operator-arm requests are served
-// through shared flushes and still agree with the queue-bypassing QR arm;
-// the coalescing counters appear in /metrics.
+// With -coalesce-window enabled, concurrent estimate requests are served
+// through shared flushes and agree bit for bit with an uncoalesced estimate
+// of the same readings; the coalescing counters appear in /v1/metrics.
 func TestCoalescedEstimatesOverHTTP(t *testing.T) {
 	srv := newServer(1024)
 	srv.coalesceWindow = 2 * time.Millisecond
@@ -188,12 +102,12 @@ func TestCoalescedEstimatesOverHTTP(t *testing.T) {
 		}
 	}
 	body, _ := json.Marshal(map[string]any{"readings": readings, "include_maps": true})
-	var qr struct {
-		Results []snapshotSummary `json:"results"`
-	}
-	qrBody, _ := json.Marshal(map[string]any{"readings": readings, "include_maps": true, "arm": "qr"})
-	if resp := doJSON(t, ts, http.MethodPost, "/v1/monitors/"+cr.ID+"/estimate", string(qrBody), &qr); resp.StatusCode != 200 {
-		t.Fatalf("qr estimate: status %d", resp.StatusCode)
+	srv.mu.Lock()
+	mon := srv.monitors[cr.ID].res.Load().mon
+	srv.mu.Unlock()
+	want, err := mon.EstimateBatch(readings, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	const clients = 6
@@ -230,11 +144,10 @@ func TestCoalescedEstimatesOverHTTP(t *testing.T) {
 		if errs[c] != nil {
 			t.Fatalf("client %d: %v", c, errs[c])
 		}
-		for i := range qr.Results {
-			for k := range qr.Results[i].Map {
-				got, want := results[c][i].Map[k], qr.Results[i].Map[k]
-				if d := math.Abs(got - want); d > 1e-12*math.Max(1, math.Abs(want)) {
-					t.Fatalf("client %d snapshot %d cell %d: coalesced %v vs qr %v", c, i, k, got, want)
+		for i := range want {
+			for k, w := range want[i] {
+				if got := results[c][i].Map[k]; math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("client %d snapshot %d cell %d: coalesced %v vs uncoalesced %v", c, i, k, got, w)
 				}
 			}
 		}

@@ -24,7 +24,7 @@ import (
 // back to one EstimateBatch per queued request — each request gets exactly
 // the error (or maps) its own readings earn.
 
-// coalescer batches operator-arm estimate requests for one monitor.
+// coalescer batches estimate and govern requests for one monitor.
 type coalescer struct {
 	mon     *core.Monitor
 	window  time.Duration

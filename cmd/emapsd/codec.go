@@ -1,8 +1,11 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"strconv"
-	"sync"
+
+	"repro/internal/wire"
 )
 
 // Reflection-free JSON fast paths for the serving hot route. The CPU profile
@@ -21,22 +24,6 @@ type readingsBuf struct {
 	flat []float64
 	ends []int // ends[i] = index into flat one past row i's last value
 	rows [][]float64
-}
-
-var readingsPool = sync.Pool{New: func() any { return new(readingsBuf) }}
-
-// parseReadings scans a JSON array-of-arrays of numbers. ok=false means
-// "not the simple shape" (the caller falls back to encoding/json), NOT a
-// validated error. The returned rows alias buf's backing storage — release
-// buf only after the rows are no longer referenced.
-func (b *readingsBuf) parseReadings(data []byte) (rows [][]float64, ok bool) {
-	b.flat = b.flat[:0]
-	b.ends = b.ends[:0]
-	i, ok := b.parseRowsAt(data, skipSpace(data, 0))
-	if !ok || i != len(data) {
-		return nil, false
-	}
-	return b.buildRows(), true
 }
 
 // parseRowsAt scans one [[...]...] value starting at i, appending numbers to
@@ -113,12 +100,26 @@ func (b *readingsBuf) buildRows() [][]float64 {
 	return b.rows
 }
 
-// parseEstimateRequest scans a whole estimate/track body of the common shape
-// — an object with any of the keys readings, workers, include_maps, arm and
-// no others, no escape sequences, scalars only — in one pass. ok=false
-// defers to encoding/json; like parseReadings it never claims a document it
-// is not sure of. Later duplicate keys win, matching encoding/json.
-func (b *readingsBuf) parseEstimateRequest(data []byte, req *estimateRequest) (rows [][]float64, ok bool) {
+// jsonRequest is the JSON body shared by estimate, track and govern.
+// Readings is captured raw for the fallback path; Config stays raw so that
+// only govern interprets it (estimate and track ignore it, like any other
+// field they do not use).
+type jsonRequest struct {
+	Readings    json.RawMessage `json:"readings"`
+	Workers     int             `json:"workers"`
+	IncludeMaps bool            `json:"include_maps"`
+	Config      json.RawMessage `json:"config"`
+}
+
+// parseRequest scans a whole serving body of the common shape — an object
+// with any of the keys readings, workers, include_maps and config and no
+// others, no escape sequences — in one pass. config must be null or an
+// object; its bytes are kept raw (aliasing data) for govern to decode.
+// ok=false means "not the simple shape" and defers to encoding/json, NOT a
+// validated error: the scanner never claims a document it is not sure of.
+// The returned rows alias b's storage. Later duplicate keys win, matching
+// encoding/json.
+func (b *readingsBuf) parseRequest(data []byte, req *jsonRequest) (rows [][]float64, ok bool) {
 	b.flat = b.flat[:0]
 	b.ends = b.ends[:0]
 	sawReadings := false
@@ -165,11 +166,14 @@ func (b *readingsBuf) parseEstimateRequest(data []byte, req *estimateRequest) (r
 			default:
 				return nil, false
 			}
-		case "arm":
-			var arm string
-			arm, i, ok = parseSimpleString(data, i)
-			req.Arm = arm
-			i = skipSpace(data, i)
+		case "config":
+			j := i + 4
+			if !hasPrefixAt(data, i, "null") {
+				if j, ok = skipJSONObject(data, i); !ok {
+					return nil, false
+				}
+			}
+			req.Config, i = data[i:j:j], skipSpace(data, j)
 		default:
 			// Unknown key: its value could be arbitrary JSON. Defer.
 			return nil, false
@@ -194,6 +198,40 @@ func (b *readingsBuf) parseEstimateRequest(data []byte, req *estimateRequest) (r
 		return nil, true
 	}
 	return b.buildRows(), true
+}
+
+// skipJSONObject returns the index just past the object starting at i.
+// Escape sequences inside strings defer to the fallback (returns false),
+// keeping this a byte scan with no unescaping.
+func skipJSONObject(data []byte, i int) (int, bool) {
+	if i >= len(data) || data[i] != '{' {
+		return 0, false
+	}
+	depth := 0
+	for ; i < len(data); i++ {
+		switch data[i] {
+		case '{':
+			depth++
+		case '}':
+			depth--
+			if depth == 0 {
+				return i + 1, true
+			}
+		case '"':
+			for i++; i < len(data); i++ {
+				if data[i] == '\\' {
+					return 0, false
+				}
+				if data[i] == '"' {
+					break
+				}
+			}
+			if i >= len(data) {
+				return 0, false
+			}
+		}
+	}
+	return 0, false
 }
 
 // parseSimpleString scans a double-quoted string with no escapes, returning
@@ -275,4 +313,103 @@ func appendEstimateResponse(buf []byte, results []snapshotSummary, quality strin
 	return append(buf, ']', '}', '\n')
 }
 
-var responsePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+// codec is the byte format of one serving request and its reply, picked
+// once per request from Content-Type (see codecFor). Both codecs decode
+// into the same request and encode the same reply, so the serving pipeline
+// never sees bytes; errors are the JSON envelope whatever the codec.
+type codec interface {
+	// decode parses body into req. The request may alias sc's buffers.
+	decode(body []byte, step routeStep, sc *scratch, req *request) error
+	// encode appends the reply for step to buf.
+	encode(buf []byte, step routeStep, rep *reply) ([]byte, error)
+	contentType() string
+	// errCode is the envelope code for a body this codec cannot decode.
+	errCode() string
+}
+
+// jsonCodec is the default text protocol: the single-pass scanner above,
+// with encoding/json as the authority for anything it does not claim.
+type jsonCodec struct{}
+
+func (jsonCodec) contentType() string { return "application/json" }
+func (jsonCodec) errCode() string     { return "bad_json" }
+
+func (jsonCodec) decode(body []byte, step routeStep, sc *scratch, req *request) error {
+	var in jsonRequest
+	rows, ok := sc.rows.parseRequest(body, &in)
+	if !ok {
+		// Unusual shape (escapes, extra keys, non-numeric tokens, malformed
+		// JSON): encoding/json decides whether it is valid and reports its
+		// error; unknown fields stay ignored. Decoding into a fresh value
+		// keeps in off the heap on the fast path.
+		var slow jsonRequest
+		if err := json.Unmarshal(body, &slow); err != nil {
+			return fmt.Errorf("bad JSON: %w", err)
+		}
+		in, rows = slow, nil
+		if len(in.Readings) > 0 {
+			if err := json.Unmarshal(in.Readings, &rows); err != nil {
+				return fmt.Errorf("bad JSON: %w", err)
+			}
+		}
+	}
+	req.readings, req.workers, req.includeMaps = rows, in.Workers, in.IncludeMaps
+	if step == stepGovern && len(in.Config) > 0 && string(in.Config) != "null" {
+		req.config = new(wire.GovernConfig)
+		if err := json.Unmarshal(in.Config, req.config); err != nil {
+			return fmt.Errorf("bad JSON: %w", err)
+		}
+	}
+	return nil
+}
+
+// trackReply is the track route's JSON reply, rendered by encoding/json.
+type trackReply struct {
+	Quality     string         `json:"quality"`
+	Results     []wire.Summary `json:"results"`
+	Steps       int            `json:"steps"`
+	Uncertainty float64        `json:"uncertainty"`
+}
+
+func (jsonCodec) encode(buf []byte, step routeStep, rep *reply) ([]byte, error) {
+	switch step {
+	case stepGovern:
+		return appendGovernResponseJSON(buf, rep.govern, rep.quality.String(), rep.governHead), nil
+	case stepTrack:
+		b, err := json.Marshal(trackReply{rep.quality.String(), rep.results, rep.steps, rep.uncertainty})
+		return append(append(buf, b...), '\n'), err
+	}
+	return appendEstimateResponse(buf, rep.results, rep.quality.String()), nil
+}
+
+// binaryCodec is application/x-emaps (internal/wire): EMRQ/EMRS frames on
+// estimate, EMGQ/EMGS frames on govern.
+type binaryCodec struct{}
+
+func (binaryCodec) contentType() string { return wire.ContentType }
+func (binaryCodec) errCode() string     { return "bad_frame" }
+
+func (binaryCodec) decode(body []byte, step routeStep, sc *scratch, req *request) error {
+	if step == stepGovern {
+		g, err := wire.DecodeGovernRequest(body, &sc.frame)
+		if err != nil {
+			return err
+		}
+		req.readings, req.config = g.Readings, g.Config
+		return nil
+	}
+	q, err := wire.DecodeEstimateRequest(body, &sc.frame)
+	if err != nil {
+		return err
+	}
+	req.readings, req.workers, req.includeMaps = q.Readings, q.Workers, q.IncludeMaps
+	return nil
+}
+
+func (binaryCodec) encode(buf []byte, step routeStep, rep *reply) ([]byte, error) {
+	if step == stepGovern {
+		rep.govern.Quality = rep.quality
+		return wire.AppendGovernResponse(buf, rep.govern)
+	}
+	return wire.AppendEstimateResponse(buf, rep.results, rep.quality), nil
+}

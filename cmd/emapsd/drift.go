@@ -427,7 +427,7 @@ func identity(n int) []int {
 // handleMonitorStats serves GET /v1/monitors/{id}: the monitor's identity,
 // lineage and live drift verdict — what an operator checks before deciding
 // between re-training and letting adaptation run (see docs/OPERATIONS.md).
-func (s *server) handleMonitorStats(w http.ResponseWriter, e *monitorEntry) {
+func (s *server) handleMonitorStats(w http.ResponseWriter, _ *http.Request, e *monitorEntry) {
 	rs, ok := s.residentHTTP(w, e)
 	if !ok {
 		return

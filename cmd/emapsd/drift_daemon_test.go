@@ -84,10 +84,9 @@ func postEstimate(t *testing.T, ts *httptest.Server, id string, rows [][]float64
 	return code, q, raw
 }
 
-// TestRouteTableMatchesDispatch pins the canonical route table (what
-// -print-routes prints and the docs CI job greps) against the actual
-// dispatcher: every advertised method+path must land on the advertised
-// metrics label.
+// TestRouteTableMatchesDispatch drives every routeTable row through
+// ServeHTTP and reads the route label the flight recorder recorded: every
+// advertised method+path must reach its own handler, not the catch-all.
 func TestRouteTableMatchesDispatch(t *testing.T) {
 	srv := newServer(1024)
 	ts := httptest.NewServer(srv)
@@ -110,8 +109,8 @@ func TestRouteTableMatchesDispatch(t *testing.T) {
 			body = "{}"
 		}
 		req := httptest.NewRequest(rt.method, path, strings.NewReader(body))
-		w := httptest.NewRecorder()
-		if got := srv.dispatch(w, req); got != rt.label {
+		srv.ServeHTTP(httptest.NewRecorder(), req)
+		if got := srv.traces.Recent(1)[0].Route; got != rt.label {
 			t.Errorf("%s %s dispatched to label %q, route table says %q", rt.method, rt.path, got, rt.label)
 		}
 	}
@@ -230,7 +229,7 @@ func TestSensorFaultExclusion(t *testing.T) {
 		t.Fatalf("post-swap drift_state %q, want ok", st.DriftState)
 	}
 
-	metrics := metricsBody(t, ts, "/metrics")
+	metrics := metricsBody(t, ts, "/v1/metrics")
 	if counterValue(t, metrics, "emapsd_adaptations_total") < 1 {
 		t.Fatal("emapsd_adaptations_total did not increment")
 	}
@@ -306,7 +305,7 @@ func TestAdaptationHotSwapZeroDrops(t *testing.T) {
 	if st.ServingM != cr.M || len(st.ExcludedSensors) != 0 {
 		t.Fatalf("global drift excluded sensors: serving_m %d excluded %v", st.ServingM, st.ExcludedSensors)
 	}
-	metrics := metricsBody(t, ts, "/metrics")
+	metrics := metricsBody(t, ts, "/v1/metrics")
 	if counterValue(t, metrics, "emapsd_adaptations_total") < 1 {
 		t.Fatal("emapsd_adaptations_total did not increment")
 	}

@@ -1,17 +1,12 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/floorplan"
 	"repro/internal/governor"
-	"repro/internal/obs"
-	"repro/internal/recon"
 	"repro/internal/wire"
 )
 
@@ -27,9 +22,10 @@ import (
 // across drift adaptations, which swap the estimator but never the cap
 // schedule the plant is already running under.
 //
-// Both protocols are served: JSON, and application/x-emaps wire v2 (EMGQ /
-// EMGS frames). The control step is stage-attributed as the "govern" span in
-// the flight recorder, between drift scoring and encode.
+// Both protocols are served by the serving pipeline (serve.go): JSON, and
+// application/x-emaps wire v2 (EMGQ / EMGS frames). The control step is
+// stage-attributed as the "govern" span in the flight recorder, between
+// drift scoring and encode.
 
 // governorState is one monitor's installed governor: the controller plus
 // cumulative closed-loop counters. mu serializes control steps — cap
@@ -54,139 +50,6 @@ func (g *governorState) stats() (snapshots uint64, duty float64) {
 		duty = float64(g.throttled) / float64(g.snapshots*uint64(g.ctrl.Cores()))
 	}
 	return g.snapshots, duty
-}
-
-// governScratch is pooled per-request response state: the decision list and
-// one flat backing array for every decision's levels. The response is
-// encoded and written before the handler returns, so steady-state govern
-// requests reuse the same storage — mirroring readingsPool/responsePool on
-// the estimate route.
-type governScratch struct {
-	resp wire.GovernResponse
-	flat []int
-}
-
-var governPool = sync.Pool{New: func() any { return new(governScratch) }}
-
-// governHTTPRequest is the JSON shape of a govern request. Readings reuse
-// the pooled fast scanner; the config object (first request, or an explicit
-// reconfigure) goes through encoding/json — it is a dozen scalars.
-type governHTTPRequest struct {
-	Config   *wire.GovernConfig `json:"config"`
-	Readings json.RawMessage    `json:"readings"`
-}
-
-// parseGovernRequest scans a govern body of the common shape — an object
-// with only the keys config and readings, no escape sequences — in one
-// pass, reusing the estimate route's pooled scanner for the readings and
-// handing just the config object (a dozen scalars, absent entirely on
-// steady-state requests) to encoding/json. ok=false defers the whole body
-// to encoding/json; like parseEstimateRequest it never claims a document it
-// is not sure of. Later duplicate keys win, matching encoding/json.
-func parseGovernRequest(b *readingsBuf, data []byte) (rows [][]float64, cfg *wire.GovernConfig, ok bool) {
-	b.flat = b.flat[:0]
-	b.ends = b.ends[:0]
-	sawReadings := false
-	i := skipSpace(data, 0)
-	if i >= len(data) || data[i] != '{' {
-		return nil, nil, false
-	}
-	i = skipSpace(data, i+1)
-	if i < len(data) && data[i] == '}' {
-		return nil, nil, skipSpace(data, i+1) == len(data)
-	}
-	for {
-		key, next, kok := parseSimpleString(data, i)
-		if !kok {
-			return nil, nil, false
-		}
-		i = skipSpace(data, next)
-		if i >= len(data) || data[i] != ':' {
-			return nil, nil, false
-		}
-		i = skipSpace(data, i+1)
-		switch key {
-		case "readings":
-			b.flat = b.flat[:0]
-			b.ends = b.ends[:0]
-			var rok bool
-			i, rok = b.parseRowsAt(data, i)
-			if !rok {
-				return nil, nil, false
-			}
-			sawReadings = true
-		case "config":
-			if hasPrefixAt(data, i, "null") {
-				cfg, i = nil, skipSpace(data, i+4)
-				break
-			}
-			j, jok := skipJSONObject(data, i)
-			if !jok {
-				return nil, nil, false
-			}
-			cfg = new(wire.GovernConfig)
-			if err := json.Unmarshal(data[i:j], cfg); err != nil {
-				return nil, nil, false
-			}
-			i = skipSpace(data, j)
-		default:
-			// Unknown key: its value could be arbitrary JSON. Defer.
-			return nil, nil, false
-		}
-		if i >= len(data) {
-			return nil, nil, false
-		}
-		if data[i] == ',' {
-			i = skipSpace(data, i+1)
-			continue
-		}
-		if data[i] == '}' {
-			i = skipSpace(data, i+1)
-			break
-		}
-		return nil, nil, false
-	}
-	if i != len(data) {
-		return nil, nil, false
-	}
-	if !sawReadings {
-		return nil, cfg, true
-	}
-	return b.buildRows(), cfg, true
-}
-
-// skipJSONObject returns the index just past the object starting at i.
-// Escape sequences inside strings defer to the fallback (returns false),
-// keeping this a byte scan with no unescaping.
-func skipJSONObject(data []byte, i int) (int, bool) {
-	if i >= len(data) || data[i] != '{' {
-		return 0, false
-	}
-	depth := 0
-	for ; i < len(data); i++ {
-		switch data[i] {
-		case '{':
-			depth++
-		case '}':
-			depth--
-			if depth == 0 {
-				return i + 1, true
-			}
-		case '"':
-			for i++; i < len(data); i++ {
-				if data[i] == '\\' {
-					return 0, false
-				}
-				if data[i] == '"' {
-					break
-				}
-			}
-			if i >= len(data) {
-				return 0, false
-			}
-		}
-	}
-	return 0, false
 }
 
 // buildGovernor constructs a fresh governor from a config, mapping each
@@ -233,16 +96,12 @@ func (s *server) buildGovernor(w http.ResponseWriter, e *monitorEntry, cfg *wire
 	return g, true
 }
 
-// governorFor resolves the monitor's governor: install from cfg when one is
-// supplied, otherwise require one to exist already.
+// governorFor resolves the governor a govern request runs under: a fresh
+// one built from cfg — which the pipeline installs only once the request's
+// batch has been estimated — or else the monitor's installed one.
 func (s *server) governorFor(w http.ResponseWriter, e *monitorEntry, cfg *wire.GovernConfig) (*governorState, bool) {
 	if cfg != nil {
-		g, ok := s.buildGovernor(w, e, cfg)
-		if !ok {
-			return nil, false
-		}
-		e.gov.Store(g)
-		return g, true
+		return s.buildGovernor(w, e, cfg)
 	}
 	g := e.gov.Load()
 	if g == nil {
@@ -253,48 +112,28 @@ func (s *server) governorFor(w http.ResponseWriter, e *monitorEntry, cfg *wire.G
 	return g, true
 }
 
-// governBatch is the compute path shared by both protocols: estimate the
-// maps, score drift, then run the control step over each estimated map in
-// order. Returns the response to encode.
-func (s *server) governBatch(w http.ResponseWriter, e *monitorEntry, rs *residentState, g *governorState, readings [][]float64, tr *obs.Trace) (*governScratch, wire.Quality, bool) {
-	if !s.checkBatch(w, readings) {
-		return nil, 0, false
-	}
-	if s.injector != nil {
-		for _, row := range readings {
-			s.injector.Apply(row)
-		}
-	}
-	readings = rs.compactReadings(readings)
-	maps, done, err := s.estimateMaps(e, rs, readings, 0, recon.ArmOperator, tr)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_readings", "estimate: %v", err)
-		return nil, 0, false
-	}
-	defer done()
-	quality := s.feedDrift(e, rs, readings, maps, tr)
-	s.snapshots.Add(int64(len(maps)))
-	e.snapshots.Add(int64(len(maps)))
-
+// step runs the control step over each estimated map in order and fills
+// sc's govern response: per snapshot, the summary the decision was taken
+// from and the per-core cap levels, plus the cumulative counters.
+func (g *governorState) step(maps [][]float64, sums []wire.Summary, sc *scratch) *wire.GovernResponse {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	ctrl := g.ctrl
 	cores := ctrl.Cores()
-	sc := governPool.Get().(*governScratch)
-	resp := &sc.resp
+	resp := &sc.govern
 	resp.Ladder = g.ladder
 	resp.Cores = cores
 	if cap(resp.Decisions) < len(maps) {
 		resp.Decisions = make([]wire.GovernDecision, len(maps))
 	}
 	resp.Decisions = resp.Decisions[:len(maps)]
-	if cap(sc.flat) < len(maps)*cores {
-		sc.flat = make([]int, len(maps)*cores)
+	if cap(sc.levels) < len(maps)*cores {
+		sc.levels = make([]int, len(maps)*cores)
 	}
-	flat := sc.flat[:len(maps)*cores]
+	flat := sc.levels[:len(maps)*cores]
 	for i, x := range maps {
-		sum := summarize(x, false)
 		levels := ctrl.Step(x)
-		d := &resp.Decisions[i]
+		sum, d := &sums[i], &resp.Decisions[i]
 		d.MaxC, d.MinC, d.MeanC, d.MaxCell = sum.MaxC, sum.MinC, sum.MeanC, sum.MaxCell
 		d.Levels = flat[i*cores : (i+1)*cores : (i+1)*cores]
 		copy(d.Levels, levels)
@@ -306,9 +145,7 @@ func (s *server) governBatch(w http.ResponseWriter, e *monitorEntry, rs *residen
 	if g.snapshots > 0 && cores > 0 {
 		resp.ThrottleDuty = float64(g.throttled) / float64(g.snapshots*uint64(cores))
 	}
-	g.mu.Unlock()
-	tr.Mark(obs.StageGovern)
-	return sc, qualityFor(quality), true
+	return resp
 }
 
 // appendGovernResponseJSON renders the govern reply without reflection, in
@@ -352,104 +189,4 @@ func appendGovernResponseJSON(buf []byte, resp *wire.GovernResponse, quality str
 	buf = append(buf, `,"throttle_duty":`...)
 	buf = strconv.AppendFloat(buf, resp.ThrottleDuty, 'g', -1, 64)
 	return append(buf, '}', '\n')
-}
-
-func (s *server) handleGovern(w http.ResponseWriter, r *http.Request, e *monitorEntry) {
-	rs, ok := s.residentHTTP(w, e)
-	if !ok {
-		return
-	}
-	if strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType) {
-		s.handleGovernBinary(w, r, e, rs)
-		return
-	}
-	tr := traceOf(w)
-	body := bodyPool.Get().(*bytes.Buffer)
-	body.Reset()
-	defer bodyPool.Put(body)
-	if _, err := body.ReadFrom(r.Body); err != nil {
-		httpError(w, http.StatusBadRequest, "bad_json", "reading request: %v", err)
-		return
-	}
-	buf := readingsPool.Get().(*readingsBuf)
-	defer readingsPool.Put(buf)
-	readings, cfg, ok := parseGovernRequest(buf, body.Bytes())
-	if !ok {
-		var req governHTTPRequest
-		if err := json.Unmarshal(body.Bytes(), &req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad_json", "bad JSON: %v", err)
-			return
-		}
-		cfg = req.Config
-		if len(req.Readings) > 0 && string(req.Readings) != "null" {
-			if err := json.Unmarshal(req.Readings, &readings); err != nil {
-				httpError(w, http.StatusBadRequest, "bad_json", "bad readings: %v", err)
-				return
-			}
-		}
-	}
-	tr.Mark(obs.StageDecode)
-	g, ok := s.governorFor(w, e, cfg)
-	if !ok {
-		return
-	}
-	sc, quality, ok := s.governBatch(w, e, rs, g, readings, tr)
-	if !ok {
-		return
-	}
-	defer governPool.Put(sc)
-	tr.Tail(obs.StageEncode)
-	respBuf := responsePool.Get().(*[]byte)
-	*respBuf = appendGovernResponseJSON((*respBuf)[:0], &sc.resp, quality.String(), g.jsonHead)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(*respBuf); err != nil && s.logger != nil {
-		s.logger.Error("write response", "err", err)
-	}
-	responsePool.Put(respBuf)
-}
-
-// handleGovernBinary serves one application/x-emaps govern request (EMGQ in,
-// EMGS out). Errors keep the JSON envelope, as on every binary route.
-func (s *server) handleGovernBinary(w http.ResponseWriter, r *http.Request, e *monitorEntry, rs *residentState) {
-	tr := traceOf(w)
-	body := bodyPool.Get().(*bytes.Buffer)
-	body.Reset()
-	defer bodyPool.Put(body)
-	if _, err := body.ReadFrom(r.Body); err != nil {
-		httpError(w, http.StatusBadRequest, "bad_frame", "reading request: %v", err)
-		return
-	}
-	scratch := wireBufPool.Get().(*wire.ReadingsBuf)
-	defer wireBufPool.Put(scratch)
-	req, err := wire.DecodeGovernRequest(body.Bytes(), scratch)
-	tr.Mark(obs.StageDecode)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_frame", "%v", err)
-		return
-	}
-	g, ok := s.governorFor(w, e, req.Config)
-	if !ok {
-		return
-	}
-	sc, quality, ok := s.governBatch(w, e, rs, g, req.Readings, tr)
-	if !ok {
-		return
-	}
-	defer governPool.Put(sc)
-	sc.resp.Quality = quality
-	tr.Tail(obs.StageEncode)
-	respBuf := responsePool.Get().(*[]byte)
-	defer responsePool.Put(respBuf)
-	out, err := wire.AppendGovernResponse((*respBuf)[:0], &sc.resp)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "internal", "encode: %v", err)
-		return
-	}
-	*respBuf = out
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(out); err != nil && s.logger != nil {
-		s.logger.Error("write response", "err", err)
-	}
 }

@@ -163,6 +163,28 @@ func TestGovernDegenerateCaps(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != "batch_too_large" {
 		t.Errorf("oversize batch: status %d code %q", resp.StatusCode, env.Error.Code)
 	}
+	// None of the rejected requests above installed their (valid) config.
+	resp = doJSON(t, ts, http.MethodPost, path, `{"readings":[[46,46,46,46,46,46,46,46]]}`, &env)
+	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != "no_governor" {
+		t.Errorf("after rejected batches: status %d code %q, want 400 no_governor", resp.StatusCode, env.Error.Code)
+	}
+
+	// A rejected reconfigure leaves the installed governor's state alone:
+	// stream 2 snapshots, send a valid config with a wrong-length row, then
+	// stream 2 more — the cumulative count runs on to 4.
+	var gr governJSONResponse
+	install := `{"config":{"policy":"hysteresis","ceiling_c":70},"readings":[[46,46,46,46,46,46,46,46],[47,47,47,47,47,47,47,47]]}`
+	if resp := doJSON(t, ts, http.MethodPost, path, install, &gr); resp.StatusCode != 200 || gr.Snapshots != 2 {
+		t.Fatalf("install: status %d snapshots %d", resp.StatusCode, gr.Snapshots)
+	}
+	reconfigure := `{"config":{"policy":"threshold","ceiling_c":60},"readings":[[46,46,46,46,46,46,46,46],[1,2,3]]}`
+	if resp := doJSON(t, ts, http.MethodPost, path, reconfigure, &env); resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_readings" {
+		t.Fatalf("rejected reconfigure: status %d code %q, want 400 bad_readings", resp.StatusCode, env.Error.Code)
+	}
+	stream := `{"readings":[[46,46,46,46,46,46,46,46],[47,47,47,47,47,47,47,47]]}`
+	if resp := doJSON(t, ts, http.MethodPost, path, stream, &gr); resp.StatusCode != 200 || gr.Snapshots != 4 {
+		t.Errorf("after rejected reconfigure: status %d snapshots %d, want 200 with 4", resp.StatusCode, gr.Snapshots)
+	}
 }
 
 // TestGovernWireParity pins the two protocols to bit-identical decisions:

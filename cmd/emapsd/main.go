@@ -1,3 +1,5 @@
+//go:debug httpmuxgo121=0
+
 // Command emapsd is the monitoring daemon: it multiplexes many independent
 // thermal monitors — different floorplans, grids, subspace dimensions and
 // sensor sets — behind one HTTP request loop, serving batched snapshot
@@ -18,33 +20,33 @@
 //	                                   live drift verdict
 //	DELETE /v1/monitors/{id}           retire a monitor
 //	POST /v1/monitors/{id}/estimate    batched reconstruction — one GEMM
-//	                                   against the precomputed operator by
-//	                                   default; "arm":"qr" selects the
-//	                                   per-snapshot QR-solve ablation
+//	                                   against the precomputed operator
 //	POST /v1/monitors/{id}/track       batched Kalman-smoothed tracking
+//	POST /v1/monitors/{id}/govern      estimate, then per-core DVFS cap
+//	                                   decisions from the monitor's governor
 //	POST /v1/monitors/{id}/simulate    estimate simulated (optionally noisy)
 //	                                   snapshots from the training ensemble,
 //	                                   or from a fresh "workload"/"workload_spec"
 //	                                   scenario (cross-scenario evaluation)
-//	GET  /healthz                      liveness (also under /v1/)
-//	GET  /metrics                      Prometheus text exposition: request
+//	GET  /v1/healthz                   liveness
+//	GET  /v1/metrics                   Prometheus text exposition: request
 //	                                   counts and latency histograms per
 //	                                   route, model-cache hit/miss, store
-//	                                   traffic, snapshot totals (also /v1/)
+//	                                   traffic, snapshot totals
 //	GET  /v1/stats                     request/snapshot totals
 //
-// The versioned /v1/ prefix is the canonical API surface. The pre-/v1
-// unversioned spellings remain as aliases for one release; their traffic is
-// labeled "legacy_<route>" in /metrics so operators can watch it drain
-// before the aliases are removed. Every failure, on either spelling, is the
-// uniform envelope {"error":{"code":"...","message":"..."}} — codes are
-// stable slugs, messages are free-form detail.
+// Every route lives under the versioned /v1/ prefix (routeTable in
+// routes.go is the whole surface); any other method or path, including the
+// pre-/v1 unversioned spellings, is a 404. Every failure is the uniform
+// envelope {"error":{"code":"...","message":"..."}} — codes are stable
+// slugs, messages are free-form detail. Estimate, track and govern share
+// one serving pipeline (serve.go).
 //
 // With -coalesce-window, concurrent estimate requests against the same
 // monitor are coalesced: a request waits up to the window (or until
 // -coalesce-max snapshots are queued) and the whole queue is served by one
 // blocked GEMM against the monitor's precomputed operator, trading bounded
-// latency for serving throughput. QR-arm requests bypass the queue.
+// latency for serving throughput.
 //
 // With -store-dir the daemon is durable: every trained model and every
 // created monitor is persisted (atomic write + rename, see internal/store),
@@ -72,7 +74,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"io/fs"
 	"log"
 	"log/slog"
@@ -83,7 +84,6 @@ import (
 	"os/signal"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -100,7 +100,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/place"
 	"repro/internal/power"
-	"repro/internal/recon"
 	"repro/internal/store"
 	"repro/internal/thermal"
 	"repro/internal/track"
@@ -301,7 +300,7 @@ type residentState struct {
 	keep        []int
 	clientM     int
 
-	// coal batches concurrent operator-arm estimate requests into shared
+	// coal batches concurrent estimate and govern requests into shared
 	// GEMMs; nil unless the daemon runs with -coalesce-window > 0. It lives
 	// on the resident state (not the entry) because it captures mon.
 	coalOnce sync.Once
@@ -339,28 +338,6 @@ type monitorEntry struct {
 	// resident hot-swaps — a drift adaptation replaces the estimator, not
 	// the cap schedule the plant is already running under.
 	gov atomic.Pointer[governorState]
-
-	// mapsPool recycles per-request estimate output buffers (batch × N
-	// floats): the serving hot path must not allocate a fresh ~60 KB of maps
-	// per request at tens of thousands of snapshots per second.
-	mapsPool sync.Pool
-}
-
-// getMaps returns n reusable length-cells map buffers; the caller hands the
-// returned batch back via putMaps after the response is encoded.
-func (e *monitorEntry) getMaps(n, cells int) [][]float64 {
-	var maps [][]float64
-	if v, ok := e.mapsPool.Get().(*[][]float64); ok {
-		maps = *v
-	}
-	for len(maps) < n {
-		maps = append(maps, make([]float64, cells))
-	}
-	return maps[:n]
-}
-
-func (e *monitorEntry) putMaps(maps [][]float64) {
-	e.mapsPool.Put(&maps)
 }
 
 type server struct {
@@ -370,6 +347,7 @@ type server struct {
 	storeDir    string
 	logger      *slog.Logger
 	metrics     *metricsSet
+	mux         *http.ServeMux // built from routeTable
 
 	// traces is the flight recorder: the last 256 finished request traces
 	// plus the 32 slowest, served at GET /v1/debug/requests. logEvery
@@ -425,7 +403,7 @@ type server struct {
 }
 
 func newServer(maxBatch int) *server {
-	return &server{
+	s := &server{
 		maxBatch:   maxBatch,
 		maxModels:  32,
 		shardN:     1,
@@ -440,6 +418,8 @@ func newServer(maxBatch int) *server {
 		index:      make(map[string]store.IndexEntry),
 		simGen:     make(chan struct{}, runtime.NumCPU()),
 	}
+	s.mux = s.routes()
+	return s
 }
 
 // logf emits a structured warning (daemon-survivable problems: store
@@ -453,7 +433,7 @@ func (s *server) logf(msg string, args ...any) {
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.requests.Add(1)
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK, route: "notfound"}
 	var tr *obs.Trace
 	if !s.noTrace {
 		id := r.Header.Get(wire.HeaderRequestID)
@@ -481,7 +461,8 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		sw.idHolder[0] = id
 		w.Header()[wire.HeaderRequestID] = sw.idHolder[:]
 	}
-	route := s.dispatch(sw, r)
+	s.mux.ServeHTTP(sw, r)
+	route := sw.route
 	dur := time.Since(start)
 	s.metrics.observe(route, sw.status, dur)
 	if tr != nil {
@@ -521,64 +502,7 @@ func traceOf(w http.ResponseWriter) *obs.Trace {
 	return nil
 }
 
-// dispatch routes the request and returns the route label used by metrics
-// and the request log ({id} collapsed so per-monitor paths aggregate).
-//
-// The canonical API surface lives under /v1/. The unversioned spellings of
-// the API routes (e.g. /monitors) are kept as thin aliases for one release;
-// they serve identically but carry a "legacy_"-prefixed route label so
-// /metrics separates remaining legacy traffic from /v1 traffic. /healthz and
-// /metrics are infrastructure endpoints — unversioned canonically, with /v1/
-// aliases so every endpoint is reachable under the versioned prefix.
-func (s *server) dispatch(w http.ResponseWriter, r *http.Request) string {
-	path := r.URL.Path
-	switch path {
-	case "/healthz", "/v1/healthz":
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-		return "healthz"
-	case "/metrics", "/v1/metrics":
-		if r.Method == http.MethodGet {
-			s.handleMetrics(w)
-			return "metrics"
-		}
-	}
-	rest, versioned := strings.CutPrefix(path, "/v1/")
-	if versioned {
-		rest = "/" + rest
-	} else {
-		rest = path
-	}
-	label := func(name string) string {
-		if versioned {
-			return name
-		}
-		return "legacy_" + name
-	}
-	switch {
-	case rest == "/stats" && r.Method == http.MethodGet:
-		s.handleStats(w)
-		return label("stats")
-	case rest == "/shard" && r.Method == http.MethodGet:
-		s.handleShard(w)
-		return label("shard")
-	case rest == "/monitors" && r.Method == http.MethodPost:
-		s.handleCreate(w, r)
-		return label("create")
-	case rest == "/monitors" && r.Method == http.MethodGet:
-		s.handleList(w)
-		return label("list")
-	case rest == "/debug/requests" && r.Method == http.MethodGet:
-		s.handleDebugRequests(w, r)
-		return label("debug")
-	case strings.HasPrefix(rest, "/monitors/"):
-		return label(s.handleMonitor(w, r, strings.TrimPrefix(rest, "/monitors/")))
-	default:
-		httpError(w, http.StatusNotFound, "not_found", "no such route")
-		return "notfound"
-	}
-}
-
-func (s *server) handleMetrics(w http.ResponseWriter) {
+func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	g := gauges{models: len(s.models), monitors: len(s.monitors)}
 	entries := make([]*monitorEntry, 0, len(s.monitors))
@@ -925,7 +849,7 @@ type monitorInfo struct {
 	Snapshots int64  `json:"snapshots_served"`
 }
 
-func (s *server) handleList(w http.ResponseWriter) {
+func (s *server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	infos := make([]monitorInfo, 0, len(s.monitors))
 	for _, e := range s.monitors {
@@ -942,7 +866,7 @@ func (s *server) handleList(w http.ResponseWriter) {
 	writeJSON(w, http.StatusOK, map[string]any{"monitors": infos})
 }
 
-func (s *server) handleStats(w http.ResponseWriter) {
+func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	monitors := len(s.monitors)
 	models := len(s.models)
@@ -953,132 +877,6 @@ func (s *server) handleStats(w http.ResponseWriter) {
 		"monitors":  monitors,
 		"models":    models,
 	})
-}
-
-// --- per-monitor routes ---
-
-func (s *server) handleMonitor(w http.ResponseWriter, r *http.Request, rest string) string {
-	id, action, _ := strings.Cut(rest, "/")
-	tr := traceOf(w)
-	if tr != nil {
-		tr.Monitor = id
-	}
-	// The shard_route span only exists on sharded replicas: unsharded
-	// routing is a map lookup, and stamping a ~0 span on every request
-	// would buy two clock reads of pure overhead.
-	sharded := s.shardN > 1
-	if !s.owns(id) {
-		tr.Mark(obs.StageShardRoute)
-		// 421: the monitor hashes to another replica. The owner index in the
-		// message is the routing hint a client-side router needs.
-		s.metrics.wrongShard.Add(1)
-		httpError(w, http.StatusMisdirectedRequest, "wrong_shard",
-			"monitor %q belongs to shard %d of %d (this is shard %d)",
-			id, s.ring.owner(id), s.shardN, s.shardIdx)
-		return "wrongshard"
-	}
-	s.mu.Lock()
-	entry := s.monitors[id]
-	s.mu.Unlock()
-	if sharded {
-		tr.Mark(obs.StageShardRoute)
-	}
-	if entry == nil {
-		httpError(w, http.StatusNotFound, "not_found", "no monitor %q", id)
-		return "notfound"
-	}
-	switch {
-	case action == "" && r.Method == http.MethodGet:
-		s.handleMonitorStats(w, entry)
-		return "monitor"
-	case action == "" && r.Method == http.MethodDelete:
-		s.mu.Lock()
-		delete(s.monitors, id)
-		delete(s.residents, id)
-		s.mu.Unlock()
-		s.removeMonitorFile(id)
-		writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
-		return "delete"
-	case action == "estimate" && r.Method == http.MethodPost:
-		s.handleEstimate(w, r, entry)
-		return "estimate"
-	case action == "track" && r.Method == http.MethodPost:
-		s.handleTrack(w, r, entry)
-		return "track"
-	case action == "simulate" && r.Method == http.MethodPost:
-		s.handleSimulate(w, r, entry)
-		return "simulate"
-	case action == "govern" && r.Method == http.MethodPost:
-		s.handleGovern(w, r, entry)
-		return "govern"
-	default:
-		httpError(w, http.StatusNotFound, "not_found", "no route %s %s", r.Method, r.URL.Path)
-		return "notfound"
-	}
-}
-
-type estimateRequest struct {
-	// Readings is captured raw and parsed by the pooled fast scanner in
-	// codec.go — the array is the bulk of the request bytes, and reflective
-	// decode of it dominated the serving profile.
-	Readings    json.RawMessage `json:"readings"`
-	Workers     int             `json:"workers"`
-	IncludeMaps bool            `json:"include_maps"`
-	// Arm selects the reconstruction path: "" or "operator" (default) is the
-	// precomputed-operator GEMM; "qr" is the per-snapshot QR-solve ablation.
-	Arm string `json:"arm"`
-}
-
-func releaseNothing() {}
-
-// bodyPool recycles whole-request read buffers for the estimate hot path.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// decodeEstimateRequest parses an estimate/track body: one read into a
-// pooled buffer, then the single-pass scanner in codec.go, with encoding/json
-// as the fallback authority for anything the scanner does not claim. The
-// returned rows may alias pooled storage: call release exactly once, after
-// the rows (and any result slices aliasing them) are dead.
-func decodeEstimateRequest(r io.Reader, req *estimateRequest) (rows [][]float64, release func(), err error) {
-	body := bodyPool.Get().(*bytes.Buffer)
-	body.Reset()
-	if _, err := body.ReadFrom(r); err != nil {
-		bodyPool.Put(body)
-		return nil, releaseNothing, err
-	}
-	data := body.Bytes()
-	buf := readingsPool.Get().(*readingsBuf)
-	if rows, ok := buf.parseEstimateRequest(data, req); ok {
-		bodyPool.Put(body)
-		return rows, func() { readingsPool.Put(buf) }, nil
-	}
-	readingsPool.Put(buf)
-	defer bodyPool.Put(body)
-	// Unusual shape (escapes, extra keys, non-numeric tokens, malformed
-	// JSON): let encoding/json decide whether it is valid and report its
-	// error — unknown fields stay ignored, exactly as before the fast path.
-	if err := json.Unmarshal(data, req); err != nil {
-		return nil, releaseNothing, err
-	}
-	if len(req.Readings) == 0 {
-		// Field absent: same as an empty batch downstream.
-		return nil, releaseNothing, nil
-	}
-	if err := json.Unmarshal(req.Readings, &rows); err != nil {
-		return nil, releaseNothing, err
-	}
-	return rows, releaseNothing, nil
-}
-
-// parseArm maps the wire arm names onto reconstruction arms.
-func parseArm(s string) (recon.Arm, bool) {
-	switch s {
-	case "", "operator":
-		return recon.ArmOperator, true
-	case "qr":
-		return recon.ArmQR, true
-	}
-	return 0, false
 }
 
 // snapshotSummary is the per-snapshot digest a thermal manager consumes.
@@ -1142,204 +940,6 @@ func (s *server) residentHTTP(w http.ResponseWriter, e *monitorEntry) (*resident
 			"monitor %s: paging in: %v", e.id, err)
 	}
 	return nil, false
-}
-
-// estimateMaps is the compute path shared by the JSON and binary estimate
-// protocols. done releases pooled output buffers — call it exactly once,
-// after the maps are encoded.
-func (s *server) estimateMaps(e *monitorEntry, rs *residentState, readings [][]float64, workers int, arm recon.Arm, tr *obs.Trace) (maps [][]float64, done func(), err error) {
-	if arm == recon.ArmOperator && s.coalesceWindow > 0 {
-		// Operator-arm requests share flushes; the QR ablation arm bypasses
-		// the queue so its latency reflects the per-snapshot solve.
-		maps, err = s.coalescerFor(rs).estimate(readings, tr)
-		return maps, releaseNothing, err
-	}
-	// Pooled output buffers: the non-coalesced hot path reuses its
-	// batch × N floats across requests instead of re-allocating them.
-	buf := e.getMaps(len(readings), rs.mon.N())
-	if err := rs.mon.EstimateBatchArmInto(buf, readings, workers, arm); err != nil {
-		e.putMaps(buf)
-		return nil, releaseNothing, err
-	}
-	tr.Mark(obs.StageSolve)
-	return buf, func() { e.putMaps(buf) }, nil
-}
-
-func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request, e *monitorEntry) {
-	rs, ok := s.residentHTTP(w, e)
-	if !ok {
-		return
-	}
-	if strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType) {
-		s.handleEstimateBinary(w, r, e, rs)
-		return
-	}
-	tr := traceOf(w)
-	var req estimateRequest
-	readings, release, err := decodeEstimateRequest(r.Body, &req)
-	tr.Mark(obs.StageDecode)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_json", "bad JSON: %v", err)
-		return
-	}
-	defer release()
-	arm, ok := parseArm(req.Arm)
-	if !ok {
-		httpError(w, http.StatusBadRequest, "bad_arm", "unknown arm %q (want operator or qr)", req.Arm)
-		return
-	}
-	if !s.checkBatch(w, readings) {
-		return
-	}
-	if s.injector != nil {
-		for _, row := range readings {
-			s.injector.Apply(row)
-		}
-	}
-	readings = rs.compactReadings(readings)
-	maps, done, err := s.estimateMaps(e, rs, readings, req.Workers, arm, tr)
-	if err != nil {
-		// Wrong-length vectors, NaN/Inf readings: client error, never a panic.
-		httpError(w, http.StatusBadRequest, "bad_readings", "estimate: %v", err)
-		return
-	}
-	defer done()
-	quality := s.feedDrift(e, rs, readings, maps, tr)
-	s.snapshots.Add(int64(len(maps)))
-	e.snapshots.Add(int64(len(maps)))
-	out := make([]snapshotSummary, len(maps))
-	for i, x := range maps {
-		out[i] = summarize(x, req.IncludeMaps)
-	}
-	// Hand-rendered response (see codec.go): same bytes a json.Encoder would
-	// produce for {"quality":"...","results":[...]}, minus the reflection.
-	// Everything after the drift span — summarize, render, the body write —
-	// is the encode stage; Tail attributes it at Finish with zero clock
-	// reads (the already-sent Server-Timing header carries the interior
-	// stages; the flight-recorder waterfall includes encode).
-	tr.Tail(obs.StageEncode)
-	body := responsePool.Get().(*[]byte)
-	*body = appendEstimateResponse((*body)[:0], out, quality.String())
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(*body); err != nil && s.logger != nil {
-		s.logger.Error("write response", "err", err)
-	}
-	responsePool.Put(body)
-}
-
-// wireBufPool recycles binary-protocol decode scratch, mirroring the JSON
-// path's readingsPool.
-var wireBufPool = sync.Pool{New: func() any { return new(wire.ReadingsBuf) }}
-
-// handleEstimateBinary serves one application/x-emaps estimate. The decoded
-// request and the computed summaries are the same structs the JSON path
-// sees — only the bytes on the wire differ. Errors keep the JSON envelope
-// regardless of the request protocol, so error handling is one client code
-// path.
-func (s *server) handleEstimateBinary(w http.ResponseWriter, r *http.Request, e *monitorEntry, rs *residentState) {
-	tr := traceOf(w)
-	body := bodyPool.Get().(*bytes.Buffer)
-	body.Reset()
-	defer bodyPool.Put(body)
-	if _, err := body.ReadFrom(r.Body); err != nil {
-		httpError(w, http.StatusBadRequest, "bad_frame", "reading request: %v", err)
-		return
-	}
-	scratch := wireBufPool.Get().(*wire.ReadingsBuf)
-	defer wireBufPool.Put(scratch)
-	req, err := wire.DecodeEstimateRequest(body.Bytes(), scratch)
-	tr.Mark(obs.StageDecode)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_frame", "%v", err)
-		return
-	}
-	arm := recon.ArmOperator
-	if req.ArmQR {
-		arm = recon.ArmQR
-	}
-	if !s.checkBatch(w, req.Readings) {
-		return
-	}
-	readings := req.Readings
-	if s.injector != nil {
-		for _, row := range readings {
-			s.injector.Apply(row)
-		}
-	}
-	readings = rs.compactReadings(readings)
-	maps, done, err := s.estimateMaps(e, rs, readings, req.Workers, arm, tr)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_readings", "estimate: %v", err)
-		return
-	}
-	defer done()
-	quality := s.feedDrift(e, rs, readings, maps, tr)
-	s.snapshots.Add(int64(len(maps)))
-	e.snapshots.Add(int64(len(maps)))
-	out := make([]wire.Summary, len(maps))
-	for i, x := range maps {
-		out[i] = summarize(x, req.IncludeMaps)
-	}
-	tr.Tail(obs.StageEncode)
-	respBuf := responsePool.Get().(*[]byte)
-	*respBuf = wire.AppendEstimateResponse((*respBuf)[:0], out, qualityFor(quality))
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(*respBuf); err != nil && s.logger != nil {
-		s.logger.Error("write response", "err", err)
-	}
-	responsePool.Put(respBuf)
-}
-
-func (s *server) handleTrack(w http.ResponseWriter, r *http.Request, e *monitorEntry) {
-	rs, ok := s.residentHTTP(w, e)
-	if !ok {
-		return
-	}
-	if rs.kf == nil {
-		httpError(w, http.StatusBadRequest, "no_tracker", "monitor %s has no tracker (create with \"tracking\": true)", e.id)
-		return
-	}
-	tr := traceOf(w)
-	var req estimateRequest
-	readings, release, err := decodeEstimateRequest(r.Body, &req)
-	tr.Mark(obs.StageDecode)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_json", "bad JSON: %v", err)
-		return
-	}
-	defer release()
-	if !s.checkBatch(w, readings) {
-		return
-	}
-	if s.injector != nil {
-		for _, row := range readings {
-			s.injector.Apply(row)
-		}
-	}
-	readings = rs.compactReadings(readings)
-	maps, err := rs.kf.StepBatch(readings)
-	tr.Mark(obs.StageSolve)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_readings", "track: %v", err)
-		return
-	}
-	// Kalman-smoothed maps are not the least-squares projection, so the
-	// tracker path scores drift with the residual matvec, not the estimates.
-	quality := s.feedDrift(e, rs, readings, nil, tr)
-	s.snapshots.Add(int64(len(maps)))
-	e.snapshots.Add(int64(len(maps)))
-	out := make([]snapshotSummary, len(maps))
-	for i, x := range maps {
-		out[i] = summarize(x, req.IncludeMaps)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"quality":     quality.String(),
-		"results":     out,
-		"steps":       rs.kf.Steps(),
-		"uncertainty": rs.kf.CovarianceTrace(),
-	})
 }
 
 type simulateRequest struct {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -32,8 +33,15 @@ func doJSON(t *testing.T, ts *httptest.Server, method, path string, body string,
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	// Read to EOF: the body's end reaches the client only after the
+	// daemon's ServeHTTP has returned, so the request's metrics and
+	// flight-recorder trace are recorded before the next request is sent.
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("%s %s: reading body: %v", method, path, err)
+	}
 	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if err := json.Unmarshal(raw, out); err != nil {
 			t.Fatalf("%s %s: decode: %v", method, path, err)
 		}
 	}
@@ -55,7 +63,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	defer ts.Close()
 
 	var health map[string]string
-	if resp := doJSON(t, ts, http.MethodGet, "/healthz", "", &health); resp.StatusCode != 200 || health["status"] != "ok" {
+	if resp := doJSON(t, ts, http.MethodGet, "/v1/healthz", "", &health); resp.StatusCode != 200 || health["status"] != "ok" {
 		t.Fatalf("healthz: %v %v", resp.StatusCode, health)
 	}
 

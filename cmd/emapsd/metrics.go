@@ -15,7 +15,7 @@ import (
 // metricsSet is the daemon's observability state: per-route request counts
 // (by status code) and latency histograms, per-stage latency histograms,
 // and counters for the model cache and the persistence store. Rendered in
-// the Prometheus text exposition format at GET /metrics, so any scraper
+// the Prometheus text exposition format at GET /v1/metrics, so any scraper
 // can derive request rates, error ratios, cache hit ratios and snapshots/s
 // without the daemon having to compute windows itself.
 //
@@ -214,13 +214,14 @@ func trimFloat(f float64) string {
 	return fmt.Sprintf("%g", f)
 }
 
-// statusWriter captures the status code and body size a handler produced,
-// for the request log and the per-route metrics, and injects the
-// Server-Timing stage breakdown just before the header is flushed. It
-// passes http.Flusher through so streaming handlers behind the wrapper can
-// still flush.
+// statusWriter captures the route label, status code and body size a
+// handler produced, for the request log and the per-route metrics, and
+// injects the Server-Timing stage breakdown just before the header is
+// flushed. It passes http.Flusher through so streaming handlers behind the
+// wrapper can still flush.
 type statusWriter struct {
 	http.ResponseWriter
+	route       string // set by the matched routeTable row (see setRoute)
 	status      int
 	bytes       int
 	wroteHeader bool

@@ -72,12 +72,12 @@ func TestMetricsExpositionLint(t *testing.T) {
 			t.Fatalf("estimate status %d", resp.StatusCode)
 		}
 	}
-	// An error and a legacy-alias request so multiple route labels and
-	// status codes appear in the exposition.
+	// An unknown monitor and an unrouted (unversioned) path, so multiple
+	// route labels and status codes appear in the exposition.
 	doJSON(t, ts, http.MethodPost, "/v1/monitors/nope/estimate", payload, nil)
 	doJSON(t, ts, http.MethodGet, "/monitors", "", nil)
 
-	body := metricsBody(t, ts, "/metrics")
+	body := metricsBody(t, ts, "/v1/metrics")
 	if errs := obs.Lint(strings.NewReader(body)); len(errs) > 0 {
 		t.Fatalf("exposition lint: %d problems:\n%s", len(errs), strings.Join(errs, "\n"))
 	}
@@ -158,14 +158,14 @@ func TestRequestIDRoundTrip(t *testing.T) {
 	}
 
 	// No client id: the daemon generates one and still echoes it.
-	resp = doJSON(t, ts, http.MethodGet, "/healthz", "", nil)
+	resp = doJSON(t, ts, http.MethodGet, "/v1/healthz", "", nil)
 	if resp.Header.Get(wire.HeaderRequestID) == "" {
 		t.Fatal("generated request id missing from response header")
 	}
 
 	// Oversized ids are truncated before they reach logs and traces.
 	long := strings.Repeat("x", 400)
-	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/healthz", nil)
+	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/v1/healthz", nil)
 	req.Header.Set(wire.HeaderRequestID, long)
 	resp, err = ts.Client().Do(req)
 	if err != nil {
@@ -259,6 +259,50 @@ func TestDebugRequestsWaterfall(t *testing.T) {
 	}
 }
 
+// Estimate, track and govern share one serving pipeline, so every route's
+// waterfall carries the same decode → solve → drift_score → encode chain,
+// in that order (govern adds its control step; a drifting batch would add
+// adapt).
+func TestServingRoutesShareWaterfall(t *testing.T) {
+	srv := newServer(1024)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	cr := createMonitor(t, ts, `,"tracking":true`)
+	base := "/v1/monitors/" + cr.ID
+	payload := estimatePayload(cr.M, 4)
+	for _, req := range []struct{ path, body string }{
+		{base + "/estimate", payload},
+		{base + "/track", payload},
+		{base + "/govern", `{"config":{"policy":"pi","ceiling_c":70},` + payload[1:]},
+	} {
+		if resp := doJSON(t, ts, http.MethodPost, req.path, req.body, nil); resp.StatusCode != 200 {
+			t.Fatalf("POST %s: status %d", req.path, resp.StatusCode)
+		}
+	}
+	for route, want := range map[string][]string{
+		"estimate": {"decode", "solve", "drift_score", "encode"},
+		"track":    {"decode", "solve", "drift_score", "encode"},
+		"govern":   {"decode", "solve", "drift_score", "govern", "encode"},
+	} {
+		var dbg debugResponse
+		doJSON(t, ts, http.MethodGet, "/v1/debug/requests?route="+route, "", &dbg)
+		if len(dbg.Recent) != 1 {
+			t.Fatalf("route %s: %d traces, want 1", route, len(dbg.Recent))
+		}
+		var got []string
+		next := 0
+		for _, st := range dbg.Recent[0].Stages {
+			got = append(got, st.Stage)
+			if next < len(want) && st.Stage == want[next] {
+				next++
+			}
+		}
+		if next != len(want) {
+			t.Errorf("route %s: stages %v, want %v in order", route, got, want)
+		}
+	}
+}
+
 // flushRecorder counts Flush calls reaching the underlying writer.
 type flushRecorder struct {
 	*httptest.ResponseRecorder
@@ -329,7 +373,7 @@ func TestLogSampling(t *testing.T) {
 	ts := httptest.NewServer(srv2)
 	defer ts.Close()
 	for i := 0; i < 10; i++ {
-		doJSON(t, ts, http.MethodGet, "/healthz", "", nil)
+		doJSON(t, ts, http.MethodGet, "/v1/healthz", "", nil)
 	}
 	doJSON(t, ts, http.MethodGet, "/v1/monitors/nope", "", nil)
 	lines := strings.Count(logBuf.String(), `"msg":"request"`)

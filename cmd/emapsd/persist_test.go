@@ -248,7 +248,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if code, _ := bodyString(t, ts, http.MethodPost, "/v1/monitors/"+cr.ID+"/estimate", estimateBody); code != 200 {
 		t.Fatal("estimate failed")
 	}
-	code, text := bodyString(t, ts, http.MethodGet, "/metrics", "")
+	code, text := bodyString(t, ts, http.MethodGet, "/v1/metrics", "")
 	if code != 200 {
 		t.Fatalf("metrics: %d", code)
 	}
@@ -269,7 +269,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	// A second create with the same key is a cache hit.
 	createMonitor(t, ts, "")
-	_, text = bodyString(t, ts, http.MethodGet, "/metrics", "")
+	_, text = bodyString(t, ts, http.MethodGet, "/v1/metrics", "")
 	if !strings.Contains(text, "emapsd_model_cache_hits_total 1") {
 		t.Errorf("cache hit not counted:\n%s", text)
 	}
@@ -284,7 +284,7 @@ func TestStructuredRequestLog(t *testing.T) {
 	srv.logger = slog.New(slog.NewJSONHandler(&lockedWriter{w: &buf, mu: &mu}, nil))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	if code, _ := bodyString(t, ts, http.MethodGet, "/healthz", ""); code != 200 {
+	if code, _ := bodyString(t, ts, http.MethodGet, "/v1/healthz", ""); code != 200 {
 		t.Fatal("healthz failed")
 	}
 	mu.Lock()

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"io"
 	"math"
 	"net/http"
@@ -37,8 +39,7 @@ func postBinary(t *testing.T, ts *httptest.Server, path string, frame []byte) (*
 // TestBinaryEstimateParity is the wire-protocol acceptance pin: the same
 // readings sent as JSON and as application/x-emaps decode to bit-identical
 // summaries — same float64 bits in every field, same maps — because both
-// protocols serialize the same computed structs. Covers both solve arms and
-// both map modes.
+// protocols serialize the same computed structs. Covers both map modes.
 func TestBinaryEstimateParity(t *testing.T) {
 	ts := httptest.NewServer(newServer(1024))
 	defer ts.Close()
@@ -51,19 +52,13 @@ func TestBinaryEstimateParity(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		maps bool
-		qr   bool
 	}{
-		{"operator summaries", false, false},
-		{"operator with maps", true, false},
-		{"qr with maps", true, true},
+		{"operator summaries", false},
+		{"operator with maps", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			arm := "operator"
-			if tc.qr {
-				arm = "qr"
-			}
 			jreq, err := json.Marshal(map[string]any{
-				"readings": readings, "include_maps": tc.maps, "arm": arm,
+				"readings": readings, "include_maps": tc.maps,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -80,7 +75,7 @@ func TestBinaryEstimateParity(t *testing.T) {
 			}
 
 			frame, err := wire.AppendEstimateRequest(nil, &wire.EstimateRequest{
-				Readings: readings, IncludeMaps: tc.maps, ArmQR: tc.qr,
+				Readings: readings, IncludeMaps: tc.maps,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -143,6 +138,11 @@ func TestBinaryEstimateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Flag bit 1 once selected a QR solve arm; it is an unknown flag now.
+	// The CRC is patched so the flag check itself rejects the frame.
+	qrFlag := append([]byte(nil), good...)
+	qrFlag[16] |= 0x02
+	binary.LittleEndian.PutUint32(qrFlag[len(qrFlag)-4:], crc32.ChecksumIEEE(qrFlag[16:len(qrFlag)-4]))
 
 	for _, tc := range []struct {
 		name  string
@@ -153,6 +153,7 @@ func TestBinaryEstimateErrors(t *testing.T) {
 		{"truncated", good[:len(good)-3], "bad_frame"},
 		{"empty", nil, "bad_frame"},
 		{"corrupt payload", append(append([]byte{}, good[:20]...), good[21:]...), "bad_frame"},
+		{"qr arm flag", qrFlag, "bad_frame"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, raw := postBinary(t, ts, path, tc.frame)

@@ -578,7 +578,7 @@ func resolveBases(cfg config) ([]string, error) {
 }
 
 func checkHealth(client *http.Client, base string) error {
-	resp, err := client.Get(base + "/healthz")
+	resp, err := client.Get(base + "/v1/healthz")
 	if err != nil {
 		return fmt.Errorf("daemon unreachable: %w", err)
 	}

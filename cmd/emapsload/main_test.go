@@ -49,7 +49,7 @@ func stubDaemon(t *testing.T, failEvery int) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	var estimates atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, `{"status":"ok"}`)
 	})
 	mux.HandleFunc("/v1/monitors", func(w http.ResponseWriter, r *http.Request) {
@@ -347,7 +347,7 @@ func TestFaultBodyInjection(t *testing.T) {
 func TestRunCountsQuality(t *testing.T) {
 	var estimates atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, `{"status":"ok"}`)
 	})
 	mux.HandleFunc("/v1/monitors", func(w http.ResponseWriter, r *http.Request) {
@@ -463,7 +463,7 @@ func fleetStub(t *testing.T, prefix string, wantCT string) (*httptest.Server, *a
 	t.Helper()
 	var created, estimates atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, `{"status":"ok"}`)
 	})
 	mux.HandleFunc("/v1/monitors", func(w http.ResponseWriter, r *http.Request) {

@@ -20,7 +20,7 @@
 // Request payload, identical under versions 1 and 2 (all integers uint32 LE,
 // floats float64 LE):
 //
-//	flags     uint32   bit 0 = include_maps, bit 1 = arm "qr"
+//	flags     uint32   bit 0 = include_maps; every other bit is rejected
 //	workers   uint32   estimation worker-pool size (0 = default)
 //	rows      uint32   snapshots in the batch
 //	cols      uint32   readings per snapshot (the batch is rectangular)
@@ -81,7 +81,6 @@ const (
 	maxPayload = 1 << 26
 
 	flagIncludeMaps = 1 << 0
-	flagArmQR       = 1 << 1
 
 	// respQualityMask covers the quality bits of a version ≥ 2 response
 	// flags word.
@@ -137,9 +136,6 @@ type EstimateRequest struct {
 	Workers int
 	// IncludeMaps asks for full maps in each summary.
 	IncludeMaps bool
-	// ArmQR selects the per-snapshot QR-solve ablation arm instead of the
-	// precomputed-operator GEMM.
-	ArmQR bool
 }
 
 // ReadingsBuf is reusable decode scratch: the flat readings storage and the
@@ -169,9 +165,6 @@ func AppendEstimateRequest(buf []byte, req *EstimateRequest) ([]byte, error) {
 	if req.IncludeMaps {
 		flags |= flagIncludeMaps
 	}
-	if req.ArmQR {
-		flags |= flagArmQR
-	}
 	payloadLen := 4 + 4 + 4 + 4 + 8*rows*cols
 	buf = appendHeader(buf, reqMagic, payloadLen)
 	payloadStart := len(buf)
@@ -198,7 +191,7 @@ func DecodeEstimateRequest(data []byte, scratch *ReadingsBuf) (*EstimateRequest,
 		return nil, fmt.Errorf("wire: request payload %d bytes, want at least 16", len(payload))
 	}
 	flags := binary.LittleEndian.Uint32(payload[0:4])
-	if flags&^uint32(flagIncludeMaps|flagArmQR) != 0 {
+	if flags&^uint32(flagIncludeMaps) != 0 {
 		return nil, fmt.Errorf("wire: unknown request flags %#x", flags)
 	}
 	workers := binary.LittleEndian.Uint32(payload[4:8])
@@ -227,7 +220,6 @@ func DecodeEstimateRequest(data []byte, scratch *ReadingsBuf) (*EstimateRequest,
 		Readings:    scratch.rows,
 		Workers:     int(workers),
 		IncludeMaps: flags&flagIncludeMaps != 0,
-		ArmQR:       flags&flagArmQR != 0,
 	}, nil
 }
 

@@ -16,7 +16,6 @@ func sampleRequest() *EstimateRequest {
 		},
 		Workers:     4,
 		IncludeMaps: true,
-		ArmQR:       true,
 	}
 }
 
@@ -33,7 +32,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Readings, req.Readings) {
 		t.Fatalf("readings round-trip:\n got %v\nwant %v", got.Readings, req.Readings)
 	}
-	if got.Workers != 4 || !got.IncludeMaps || !got.ArmQR {
+	if got.Workers != 4 || !got.IncludeMaps {
 		t.Fatalf("options round-trip: %+v", got)
 	}
 }
@@ -256,12 +255,15 @@ func TestHostileBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		// flags live at payload offset 0 → frame offset 16. Set an unknown
-		// bit and patch the CRC so the flag check itself is exercised.
-		buf[16] |= 0x80
-		payload := buf[16 : len(buf)-4]
-		recrc(buf, payload)
-		if _, err := DecodeEstimateRequest(buf, nil); err == nil {
-			t.Fatal("accepted unknown flags")
+		// bit and patch the CRC so the flag check itself is exercised. Bit 1
+		// once selected a QR solve arm; it is now as unknown as bit 7.
+		for _, bit := range []byte{0x02, 0x80} {
+			bad := append([]byte(nil), buf...)
+			bad[16] |= bit
+			recrc(bad, bad[16:len(bad)-4])
+			if _, err := DecodeEstimateRequest(bad, nil); err == nil {
+				t.Fatalf("accepted unknown flag %#x", bit)
+			}
 		}
 	})
 	t.Run("map length beyond payload", func(t *testing.T) {
