@@ -5,7 +5,7 @@
 // Usage:
 //
 //	emaps -dataset maps.emds [-m 4] [-k 0 (=M)] [-basis eigenmaps|dct|dct-zigzag]
-//	      [-alloc greedy|energy|random|uniform] [-snr 0 (=noiseless, dB)]
+//	      [-alloc greedy|energy|random|uniform|d-optimal] [-snr 0 (=noiseless, dB)]
 //	      [-mask-cache] [-kmax 40] [-show-layout]
 package main
 
@@ -69,20 +69,9 @@ func main() {
 	}
 	fmt.Printf("trained %s basis, KMax=%d\n", kind, model.Basis.KMax())
 
-	var alloc place.Allocator
-	switch *allocName {
-	case "greedy":
-		alloc = &place.Greedy{}
-	case "energy":
-		alloc = &place.EnergyCenter{}
-	case "random":
-		alloc = &place.Random{Seed: *seed}
-	case "uniform":
-		alloc = &place.Uniform{}
-	case "doptimal", "d-optimal":
-		alloc = &place.DOptimal{}
-	default:
-		log.Fatalf("unknown allocator %q", *allocName)
+	alloc, err := place.ByName(*allocName, *seed)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var mask []bool

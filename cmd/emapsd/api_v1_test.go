@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // metricsBody fetches the Prometheus exposition text.
@@ -83,13 +82,10 @@ func TestErrorEnvelopeShape(t *testing.T) {
 	}
 }
 
-// With -coalesce-window enabled, concurrent estimate requests are served
-// through shared flushes and agree bit for bit with an uncoalesced estimate
-// of the same readings; the coalescing counters appear in /v1/metrics.
-func TestCoalescedEstimatesOverHTTP(t *testing.T) {
+// Concurrent estimate requests against one monitor each agree bit for bit
+// with an in-process EstimateBatch of the same readings.
+func TestConcurrentEstimatesBitIdentical(t *testing.T) {
 	srv := newServer(1024)
-	srv.coalesceWindow = 2 * time.Millisecond
-	srv.coalesceMax = 256
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	cr := createMonitor(t, ts, "")
@@ -147,18 +143,9 @@ func TestCoalescedEstimatesOverHTTP(t *testing.T) {
 		for i := range want {
 			for k, w := range want[i] {
 				if got := results[c][i].Map[k]; math.Float64bits(got) != math.Float64bits(w) {
-					t.Fatalf("client %d snapshot %d cell %d: coalesced %v vs uncoalesced %v", c, i, k, got, w)
+					t.Fatalf("client %d snapshot %d cell %d: served %v vs in-process %v", c, i, k, got, w)
 				}
 			}
 		}
-	}
-
-	body2 := metricsBody(t, ts, "/v1/metrics")
-	if n := counterValue(t, body2, "emapsd_coalesce_requests_total"); n != clients {
-		t.Fatalf("coalesce requests = %d, want %d (every operator-arm estimate coalesces)", n, clients)
-	}
-	flushes := counterValue(t, body2, "emapsd_coalesce_flushes_total")
-	if flushes < 1 || flushes > clients {
-		t.Fatalf("coalesce flushes = %d, want within [1,%d]", flushes, clients)
 	}
 }

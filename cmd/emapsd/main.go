@@ -42,12 +42,6 @@
 // slugs, messages are free-form detail. Estimate, track and govern share
 // one serving pipeline (serve.go).
 //
-// With -coalesce-window, concurrent estimate requests against the same
-// monitor are coalesced: a request waits up to the window (or until
-// -coalesce-max snapshots are queued) and the whole queue is served by one
-// blocked GEMM against the monitor's precomputed operator, trading bounded
-// latency for serving throughput.
-//
 // With -store-dir the daemon is durable: every trained model and every
 // created monitor is persisted (atomic write + rename, see internal/store),
 // a restart warm-starts all monitors with zero retraining and bit-identical
@@ -101,7 +95,6 @@ import (
 	"repro/internal/place"
 	"repro/internal/power"
 	"repro/internal/store"
-	"repro/internal/thermal"
 	"repro/internal/track"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -113,6 +106,14 @@ import (
 // ensemble regeneration after a warm start reproduces training exactly.
 const defaultLoadCoupling = 0.75
 
+// Create-request size caps. Training simulates a snapshots × grid_w·grid_h
+// ensemble of float64s before anything else looks at its size, so a
+// client-chosen grid must be bounded before it reaches the model cache.
+const (
+	maxGridSide       = 512     // cells per grid side
+	maxEnsembleValues = 1 << 25 // snapshots × cells: 256 MiB of float64s
+)
+
 func main() {
 	addr := flag.String("addr", ":8760", "listen address")
 	maxSnap := flag.Int("max-batch", 4096, "largest accepted snapshot batch")
@@ -122,8 +123,6 @@ func main() {
 	shard := flag.String("shard", "", "serve shard i of n replicas over a shared store-dir, as i/n (empty = unsharded)")
 	lockStale := flag.Duration("lock-stale", time.Minute, "age past which another replica's lockfile is presumed dead and stolen")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown deadline for in-flight requests")
-	coalesceWindow := flag.Duration("coalesce-window", 0, "bounded wait for batching concurrent estimate requests into one GEMM (0 = disabled)")
-	coalesceMax := flag.Int("coalesce-max", 256, "snapshot count that flushes a coalesced batch immediately")
 	adaptAfter := flag.Int("adapt-after", 64, "out-of-distribution snapshots absorbed before the shadow basis hot-swaps in (0 = never adapt)")
 	faultInject := flag.String("fault-inject", "", "deterministic sensor-fault spec applied to incoming readings, e.g. stuck:3,drop:0.01,offset:2:5 (dev/testing)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the -fault-inject randomness (dropouts)")
@@ -148,8 +147,6 @@ func main() {
 	srv.maxModels = *maxModels
 	srv.maxMonitors = *maxMonitors
 	srv.logger = logger
-	srv.coalesceWindow = *coalesceWindow
-	srv.coalesceMax = *coalesceMax
 	srv.lockStale = *lockStale
 	srv.adaptAfter = *adaptAfter
 	if *logSample > 1 {
@@ -225,13 +222,11 @@ func main() {
 	logger.Info("drained")
 }
 
-// trainKey identifies one trained model in the cache. Solver is the
-// *resolved* simulation solver arm ("cg" or "direct"), so "auto", "" and
-// "direct" alias to one cache entry; the worker count is deliberately not
-// part of the key because the generated ensemble is bit-identical for every
-// worker count. Workload is the canonical workload identity: the
-// comma-joined scenario names plus, for an inline spec, its canonical JSON
-// ("" = the default four-preset mix). Cores/Caches/MeshW/MeshH pin
+// trainKey identifies one trained model in the cache. Every ensemble is
+// simulated with the default (direct) transient solver on all CPUs, so
+// neither appears in the key. Workload is the canonical workload identity:
+// the comma-joined scenario names plus, for an inline spec, its canonical
+// JSON ("" = the default four-preset mix). Cores/Caches/MeshW/MeshH pin
 // parametric many-core requests whose floorplan name alone does not
 // determine the layout.
 type trainKey struct {
@@ -244,7 +239,6 @@ type trainKey struct {
 	Snapshots int
 	Seed      int64
 	KMax      int
-	Solver    string
 	Workload  string
 }
 
@@ -299,12 +293,6 @@ type residentState struct {
 	origSensors []int
 	keep        []int
 	clientM     int
-
-	// coal batches concurrent estimate and govern requests into shared
-	// GEMMs; nil unless the daemon runs with -coalesce-window > 0. It lives
-	// on the resident state (not the entry) because it captures mon.
-	coalOnce sync.Once
-	coal     *coalescer
 }
 
 // monitorEntry is one monitor behind the request loop — possibly paged out.
@@ -366,12 +354,6 @@ type server struct {
 	shardN    int
 	ring      *shardRing
 	lockStale time.Duration // age past which another replica's lockfile is stolen
-
-	// coalesceWindow > 0 batches concurrent estimate requests per monitor
-	// into shared GEMMs: a request waits at most the window (or until
-	// coalesceMax snapshots are queued) for peers to share a flush.
-	coalesceWindow time.Duration
-	coalesceMax    int
 
 	// adaptAfter is how many out-of-distribution snapshots a drifting
 	// monitor absorbs into its shadow basis before hot-swapping the adapted
@@ -560,9 +542,6 @@ type createRequest struct {
 	// are rejected with 400s.
 	Workloads    []string        `json:"workloads"`
 	WorkloadSpec json.RawMessage `json:"workload_spec"`
-
-	SimSolver  string `json:"sim_solver"`  // transient linear solver: "auto" (default), "cg", "direct"
-	SimWorkers int    `json:"sim_workers"` // goroutine cap for ensemble generation (0 = all CPUs)
 }
 
 type createResponse struct {
@@ -608,6 +587,15 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.defaults()
+	if req.GridW < 1 || req.GridH < 1 || req.GridW > maxGridSide || req.GridH > maxGridSide {
+		httpError(w, http.StatusBadRequest, "bad_grid", "grid %d×%d outside [1,%d] per side", req.GridW, req.GridH, maxGridSide)
+		return
+	}
+	if req.Snapshots > maxEnsembleValues/(req.GridW*req.GridH) {
+		httpError(w, http.StatusBadRequest, "bad_grid", "%d snapshots of a %d×%d grid exceed the %d-value ensemble cap",
+			req.Snapshots, req.GridW, req.GridH, maxEnsembleValues)
+		return
+	}
 	var fp *floorplan.Floorplan
 	var err error
 	if req.Floorplan == "manycore" {
@@ -626,21 +614,11 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad_workload", "bad workload: %v", err)
 		return
 	}
-	solver, err := thermal.ParseSolver(req.SimSolver)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_solver", "bad sim_solver %q (want auto, cg or direct)", req.SimSolver)
-		return
-	}
-	if req.SimWorkers < 0 {
-		httpError(w, http.StatusBadRequest, "bad_workers", "sim_workers %d is negative (0 = all CPUs)", req.SimWorkers)
-		return
-	}
 	pcfg := power.ConfigFor(fp, defaultLoadCoupling)
 	key := trainKey{Floorplan: fp.Name,
 		Cores: req.Cores, Caches: req.Caches, MeshW: req.MeshW, MeshH: req.MeshH,
 		W: req.GridW, H: req.GridH,
 		Snapshots: req.Snapshots, Seed: req.Seed, KMax: req.KMax,
-		Solver:   thermal.ResolveSolver(solver).String(),
 		Workload: wlKey}
 	entry, ok := s.modelFor(key)
 	if !ok {
@@ -682,8 +660,6 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			Specs:     specs,
 			Seed:      key.Seed,
 			Power:     pcfg,
-			Solver:    solver,
-			Workers:   req.SimWorkers,
 		})
 		if entry.err == nil {
 			entry.model, entry.err = core.Train(entry.ds, core.TrainOptions{KMax: key.KMax, Seed: key.Seed})
@@ -711,23 +687,11 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	sensors := req.Sensors
 	if len(sensors) == 0 {
-		var alloc place.Allocator
-		switch req.Strategy {
-		case "", "greedy":
-			alloc = &place.Greedy{}
-		case "energy":
-			alloc = &place.EnergyCenter{}
-		case "random":
-			alloc = &place.Random{Seed: req.Seed}
-		case "uniform":
-			alloc = &place.Uniform{}
-		case "d-optimal":
-			alloc = &place.DOptimal{}
-		default:
+		alloc, err := place.ByName(req.Strategy, req.Seed)
+		if err != nil {
 			httpError(w, http.StatusBadRequest, "bad_strategy", "unknown strategy %q", req.Strategy)
 			return
 		}
-		var err error
 		sensors, err = entry.model.PlaceSensors(req.M, core.PlaceOptions{K: req.K, Allocator: alloc})
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "placement_failed", "placement failed: %v", err)
@@ -999,14 +963,6 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request, e *monit
 	}
 	var src *dataset.Dataset
 	if spec != nil {
-		// The monitor's resolved solver arm, so cross-scenario ground truth
-		// is reproducible against an offline run of the same configuration
-		// (cg and direct are not bit-identical).
-		solver, err := thermal.ParseSolver(e.key.Solver)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "internal", "monitor solver: %v", err)
-			return
-		}
 		s.simGen <- struct{}{}
 		ds, err := dataset.Generate(e.fp, dataset.GenConfig{
 			Grid:      floorplan.Grid{W: e.key.W, H: e.key.H},
@@ -1014,7 +970,6 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request, e *monit
 			Specs:     []*workload.Spec{spec},
 			Seed:      req.Seed,
 			Power:     e.pcfg,
-			Solver:    solver,
 		})
 		<-s.simGen
 		if err != nil {
@@ -1025,7 +980,7 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request, e *monit
 	} else {
 		// Replay the training ensemble. A warm-started monitor regenerates
 		// it on first use — bit-identical to the original by construction
-		// (same key, same specs, same solver arm).
+		// (same key, same specs, same solver).
 		ds, err := e.ensureEnsemble(s)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, "internal", "regenerating training ensemble: %v", err)

@@ -300,33 +300,36 @@ func TestDaemonMultiplexesMonitorsConcurrently(t *testing.T) {
 	}
 }
 
-func TestCreateSimSolverOptions(t *testing.T) {
-	ts := httptest.NewServer(newServer(64))
+// A degenerate or oversized grid is a 400 bad_grid before the model cache
+// is touched: it never panics the handler, and repeating it never leaves a
+// dead cache entry behind to lock out valid configurations.
+func TestCreateRejectsBadGrid(t *testing.T) {
+	srv := newServer(64)
+	srv.maxModels = 2
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Both explicit solver arms train successfully; the auto spelling
-	// aliases to the direct cache entry.
-	for _, extra := range []string{`,"sim_solver":"direct","sim_workers":2`, `,"sim_solver":"cg"`, `,"sim_solver":"auto"`} {
-		cr := createMonitor(t, ts, extra)
-		if len(cr.Sensors) != 8 {
-			t.Fatalf("create %s: %+v", extra, cr)
+	for _, body := range []string{
+		`{"grid_w":-3,"grid_h":10,"snapshots":80,"kmax":8,"k":4,"m":8}`,
+		`{"grid_w":-3,"grid_h":10,"snapshots":80,"kmax":8,"k":4,"m":8}`,
+		`{"grid_w":-4,"grid_h":10,"snapshots":80,"kmax":8,"k":4,"m":8}`,
+		`{"grid_w":12,"grid_h":-1,"snapshots":80,"kmax":8,"k":4,"m":8}`,
+		fmt.Sprintf(`{"grid_w":%d,"grid_h":10,"kmax":8,"k":4,"m":8}`, maxGridSide+1),
+		fmt.Sprintf(`{"grid_w":%d,"grid_h":%d,"kmax":8,"k":4,"m":8}`, maxGridSide, maxGridSide),
+	} {
+		var out errEnvelope
+		if resp := doJSON(t, ts, http.MethodPost, "/v1/monitors", body, &out); resp.StatusCode != 400 || out.Error.Code != "bad_grid" {
+			t.Fatalf("%s: status %d (%+v), want 400 bad_grid", body, resp.StatusCode, out)
 		}
 	}
-
+	// Degenerate generation config surfaces as a 400, not a panic, and its
+	// failed entry is evicted for retry.
 	var out errEnvelope
-	if resp := doJSON(t, ts, http.MethodPost, "/v1/monitors",
-		fmt.Sprintf(createBody, `,"sim_solver":"jacobi"`), &out); resp.StatusCode != 400 || out.Error.Code != "bad_solver" {
-		t.Fatalf("bad sim_solver: status %d (%+v)", resp.StatusCode, out)
-	}
-	if resp := doJSON(t, ts, http.MethodPost, "/v1/monitors",
-		fmt.Sprintf(createBody, `,"sim_workers":-1`), &out); resp.StatusCode != 400 || out.Error.Code != "bad_workers" {
-		t.Fatalf("negative sim_workers: status %d (%+v)", resp.StatusCode, out)
-	}
-	// Degenerate generation config surfaces as a 400, not a panic.
 	if resp := doJSON(t, ts, http.MethodPost, "/v1/monitors",
 		`{"floorplan":"t1","grid_w":12,"grid_h":10,"snapshots":2,"seed":3,"kmax":8,"k":4,"m":8}`, &out); resp.StatusCode != 400 {
 		t.Fatalf("too-few snapshots: status %d (%+v)", resp.StatusCode, out)
 	}
+	createMonitor(t, ts, "")
 }
 
 func TestCreateWorkloadOptions(t *testing.T) {

@@ -25,7 +25,7 @@ import (
 type routeStep uint8
 
 const (
-	// stepEstimate: operator GEMM (through the coalescer when enabled).
+	// stepEstimate: operator GEMM.
 	stepEstimate routeStep = iota
 	// stepTrack: Kalman.StepBatch; drift is scored on the residual, since
 	// smoothed maps are not the least-squares projection.
@@ -169,17 +169,13 @@ func (s *server) serve(w http.ResponseWriter, r *http.Request, e *monitorEntry, 
 	readings = rs.compactReadings(readings)
 
 	var maps [][]float64
-	switch {
-	case step == stepTrack:
+	if step == stepTrack {
 		maps, err = rs.kf.StepBatch(readings)
-		tr.Mark(obs.StageSolve)
-	case s.coalesceWindow > 0:
-		maps, err = s.coalescerFor(rs).estimate(readings, tr)
-	default:
+	} else {
 		maps = sc.mapsFor(len(readings), rs.mon.N())
 		err = rs.mon.EstimateBatchInto(maps, readings, req.workers)
-		tr.Mark(obs.StageSolve)
 	}
+	tr.Mark(obs.StageSolve)
 	if err != nil {
 		// Wrong-length vectors, NaN/Inf readings: client error, never a panic.
 		verb := "estimate"

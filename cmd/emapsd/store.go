@@ -20,7 +20,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/store"
-	"repro/internal/thermal"
 	"repro/internal/track"
 	"repro/internal/workload"
 )
@@ -102,7 +101,6 @@ func metaForKey(key trainKey, workloads []string, specJSON json.RawMessage) stor
 		Cores:     key.Cores, Caches: key.Caches, MeshW: key.MeshW, MeshH: key.MeshH,
 		GridW: key.W, GridH: key.H,
 		Snapshots: key.Snapshots, Seed: key.Seed, KMax: key.KMax,
-		Solver:       key.Solver,
 		Workloads:    workloads,
 		WorkloadSpec: specJSON,
 		LoadCoupling: defaultLoadCoupling,
@@ -121,7 +119,7 @@ func keyFromMeta(meta store.Meta) (trainKey, []*workload.Spec, error) {
 		Cores:     meta.Cores, Caches: meta.Caches, MeshW: meta.MeshW, MeshH: meta.MeshH,
 		W: meta.GridW, H: meta.GridH,
 		Snapshots: meta.Snapshots, Seed: meta.Seed, KMax: meta.KMax,
-		Solver: meta.Solver, Workload: wlKey,
+		Workload: wlKey,
 	}, specs, nil
 }
 
@@ -457,9 +455,6 @@ func buildMonitorState(rec *store.Record) (*loadedRecord, error) {
 	key, specs, err := keyFromMeta(rec.Meta)
 	if err != nil {
 		return nil, fmt.Errorf("reconstructing train key: %w", err)
-	}
-	if _, err := thermal.ParseSolver(key.Solver); err != nil {
-		return nil, fmt.Errorf("stored solver: %w", err)
 	}
 	// v2 records carry the folded reconstruction operator; v1 records re-fold
 	// it from the QR factors (deterministic, so serving stays bit-identical).
@@ -798,10 +793,6 @@ func (e *monitorEntry) ensureEnsemble(s *server) (*dataset.Dataset, error) {
 	if e.ds != nil {
 		return e.ds, nil
 	}
-	solver, err := thermal.ParseSolver(e.key.Solver)
-	if err != nil {
-		return nil, err
-	}
 	s.simGen <- struct{}{}
 	defer func() { <-s.simGen }()
 	ds, err := dataset.Generate(e.fp, dataset.GenConfig{
@@ -810,7 +801,6 @@ func (e *monitorEntry) ensureEnsemble(s *server) (*dataset.Dataset, error) {
 		Specs:     e.specs,
 		Seed:      e.key.Seed,
 		Power:     e.pcfg,
-		Solver:    solver,
 	})
 	if err != nil {
 		return nil, err

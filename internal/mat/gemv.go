@@ -3,7 +3,7 @@ package mat
 // Affine kernels for the precomputed reconstruction operator: the serving
 // hot path is dst = bias + A·x with A the N×M operator, applied either to a
 // single reading vector (Estimate) or to a whole batch of them
-// (EstimateBatch / the daemon's coalesced GEMM). Both kernels are
+// (EstimateBatch / the daemon's per-request GEMM). Both kernels are
 // allocation-free and blocked for instruction-level parallelism: the naive
 // single-accumulator loop serializes on the floating-point add chain, while
 // four independent accumulators keep the FMA pipeline full.

@@ -9,7 +9,7 @@ import (
 )
 
 func TestStageNames(t *testing.T) {
-	want := []string{"decode", "shard_route", "page_in", "coalesce_wait", "solve", "drift_score", "adapt", "govern", "encode"}
+	want := []string{"decode", "shard_route", "page_in", "solve", "drift_score", "adapt", "govern", "encode"}
 	if int(NumStages) != len(want) {
 		t.Fatalf("NumStages = %d, want %d", NumStages, len(want))
 	}
@@ -24,55 +24,64 @@ func TestStageNames(t *testing.T) {
 }
 
 func TestTraceSpans(t *testing.T) {
-	tr := NewTrace("req-1", time.Time{})
-	from := tr.Begin()
+	tr := NewTrace("req-1", time.Now().Add(-2*time.Millisecond))
+	tr.Mark(StageDecode)
 	time.Sleep(time.Millisecond)
-	tr.End(StageDecode, from)
-	tr.Between(StageSolve, from, time.Now())
-	tr.Finish(200, 42, 0)
+	tr.Mark(StageSolve)
+	tr.Tail(StageEncode)
+	dur := time.Since(tr.start) + time.Millisecond
+	tr.Finish(200, 42, dur)
 
 	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2: %+v", len(spans), spans)
+	if len(spans) != 3 {
+		t.Fatalf("got %d spans, want 3: %+v", len(spans), spans)
 	}
-	if spans[0].Stage != StageDecode || spans[1].Stage != StageSolve {
+	if spans[0].Stage != StageDecode || spans[1].Stage != StageSolve || spans[2].Stage != StageEncode {
 		t.Fatalf("span order: %+v", spans)
 	}
-	for _, sp := range spans {
+	for i, sp := range spans {
 		if sp.Dur <= 0 {
 			t.Errorf("stage %s: non-positive duration %v", sp.Stage, sp.Dur)
 		}
+		if i > 0 && sp.Offset != spans[i-1].Offset+spans[i-1].Dur {
+			t.Errorf("stage %s starts at %v, not where %s ended", sp.Stage, sp.Offset, spans[i-1].Stage)
+		}
 	}
-	if tr.Dur <= 0 || tr.Status != 200 || tr.Bytes != 42 {
+	if tr.Dur != dur || tr.Status != 200 || tr.Bytes != 42 {
 		t.Errorf("Finish: dur=%v status=%d bytes=%d", tr.Dur, tr.Status, tr.Bytes)
 	}
-	if tot := tr.StageTotal(); tot != spans[0].Dur+spans[1].Dur {
-		t.Errorf("StageTotal = %v, want %v", tot, spans[0].Dur+spans[1].Dur)
+	// Marks chain from the trace start and the tail runs to Finish, so the
+	// spans cover the whole request.
+	if tot := tr.StageTotal(); tot != dur {
+		t.Errorf("StageTotal = %v, want the request's %v", tot, dur)
 	}
 }
 
 func TestTraceRepeatStageAccumulates(t *testing.T) {
-	tr := NewTrace("req-2", time.Time{})
-	base := tr.Begin()
-	tr.Between(StageSolve, base, base.Add(2*time.Millisecond))
-	tr.Between(StageSolve, base.Add(5*time.Millisecond), base.Add(8*time.Millisecond))
+	tr := NewTrace("req-2", time.Now().Add(-time.Millisecond))
+	tr.Mark(StageSolve)
+	time.Sleep(time.Millisecond)
+	tr.Mark(StageDriftScore)
+	time.Sleep(time.Millisecond)
+	tr.Mark(StageSolve)
 	spans := tr.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("got %d spans, want 1", len(spans))
+	if len(spans) != 2 || spans[0].Stage != StageSolve {
+		t.Fatalf("got spans %+v, want solve and drift_score", spans)
 	}
-	if spans[0].Dur != 5*time.Millisecond {
-		t.Errorf("accumulated dur = %v, want 5ms", spans[0].Dur)
+	// The repeat adds its duration to the first occurrence's slot and keeps
+	// that slot's offset, so the two slots still cover every Mark.
+	if spans[0].Offset != 0 || spans[0].Dur < 2*time.Millisecond {
+		t.Errorf("solve span %+v, want offset 0 and both marks' ≥2ms", spans[0])
+	}
+	if tot := tr.StageTotal(); tot != tr.last {
+		t.Errorf("StageTotal = %v, want the cursor's %v", tot, tr.last)
 	}
 }
 
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
-	from := tr.Begin()
-	if !from.IsZero() {
-		t.Error("nil Begin should return zero time")
-	}
-	tr.End(StageDecode, from)
-	tr.Between(StageSolve, from, from)
+	tr.Mark(StageDecode)
+	tr.Tail(StageEncode)
 	tr.Finish(200, 0, 0)
 	if tr.Spans() != nil || tr.StageTotal() != 0 {
 		t.Error("nil trace should have no spans")
@@ -290,10 +299,9 @@ func TestCodeCountsConcurrent(t *testing.T) {
 
 func TestStageSet(t *testing.T) {
 	s := NewStageSet([]float64{0.001, 0.01})
-	tr := NewTrace("x", time.Time{})
-	base := tr.Begin()
-	tr.Between(StageDecode, base, base.Add(100*time.Microsecond))
-	tr.Between(StageSolve, base, base.Add(5*time.Millisecond))
+	tr := NewTrace("x", time.Now().Add(-time.Millisecond))
+	tr.Mark(StageDecode)
+	tr.Mark(StageSolve)
 	s.ObserveTrace(tr)
 	s.ObserveTrace(nil)
 	(*StageSet)(nil).ObserveTrace(tr)

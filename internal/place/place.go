@@ -43,6 +43,25 @@ var (
 	ErrBadInput    = errors.New("place: invalid input")
 )
 
+// ByName returns the selectable allocator whose Name() is name: greedy (also
+// ""), energy, random (drawing from seed), uniform or d-optimal. Exhaustive
+// is a test oracle and is not selectable.
+func ByName(name string, seed int64) (Allocator, error) {
+	switch name {
+	case "", "greedy":
+		return &Greedy{}, nil
+	case "energy":
+		return &EnergyCenter{}, nil
+	case "random":
+		return &Random{Seed: seed}, nil
+	case "uniform":
+		return &Uniform{}, nil
+	case "d-optimal":
+		return &DOptimal{}, nil
+	}
+	return nil, fmt.Errorf("place: unknown allocator %q", name)
+}
+
 // allowedCells lists the cell indices permitted by the mask (all cells when
 // the mask is nil).
 func allowedCells(n int, mask []bool) ([]int, error) {

@@ -541,3 +541,26 @@ func TestShermanMorrisonAgainstDirectInverse(t *testing.T) {
 		}
 	}
 }
+
+func TestByNameRoundTrips(t *testing.T) {
+	for _, name := range []string{"greedy", "energy", "random", "uniform", "d-optimal"} {
+		a, err := ByName(name, 0)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		if got := a.Name(); got != name {
+			t.Errorf("ByName(%q).Name() = %q", name, got)
+		}
+	}
+	if a, err := ByName("", 0); err != nil || a.Name() != "greedy" {
+		t.Errorf(`ByName("") = %v, %v; want greedy`, a, err)
+	}
+	if r, err := ByName("random", 7); err != nil || r.(*Random).Seed != 7 {
+		t.Errorf("ByName(random, 7) = %+v, %v; want seed 7", r, err)
+	}
+	for _, bad := range []string{"exhaustive", "doptimal", "Greedy"} {
+		if _, err := ByName(bad, 0); err == nil {
+			t.Errorf("ByName(%q) accepted", bad)
+		}
+	}
+}

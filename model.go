@@ -205,19 +205,8 @@ type PlaceOptions struct {
 // PlaceSensors returns m sensor cell indices chosen by the selected
 // strategy.
 func (m *Model) PlaceSensors(count int, opt PlaceOptions) ([]int, error) {
-	var alloc place.Allocator
-	switch opt.Strategy {
-	case "", GreedyAllocation:
-		alloc = &place.Greedy{}
-	case EnergyAllocation:
-		alloc = &place.EnergyCenter{}
-	case RandomAllocation:
-		alloc = &place.Random{Seed: opt.Seed}
-	case UniformAllocation:
-		alloc = &place.Uniform{}
-	case DOptimalAllocation:
-		alloc = &place.DOptimal{}
-	default:
+	alloc, err := place.ByName(string(opt.Strategy), opt.Seed)
+	if err != nil {
 		return nil, fmt.Errorf("eigenmaps: unknown allocation strategy %q", opt.Strategy)
 	}
 	return m.m.PlaceSensors(count, core.PlaceOptions{
